@@ -221,6 +221,35 @@ class CommunityResult:
     def __len__(self) -> int:
         return len(self.best.communities)
 
+    def to_dict(self) -> dict:
+        """JSON-safe form: every level (communities as sorted name lists,
+        in partition order) plus the index of the best one."""
+        return {
+            "levels": [
+                {
+                    "communities": [sorted(c) for c in level.communities],
+                    "modularity": level.modularity,
+                    "removed_edges": level.removed_edges,
+                }
+                for level in self.levels
+            ],
+            "best": next(
+                i for i, level in enumerate(self.levels) if level is self.best
+            ),
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "CommunityResult":
+        levels = [
+            CommunityLevel(
+                communities=tuple(frozenset(c) for c in level["communities"]),
+                modularity=float(level["modularity"]),
+                removed_edges=int(level["removed_edges"]),
+            )
+            for level in data["levels"]
+        ]
+        return cls(levels=levels, best=levels[int(data["best"])])
+
     def summary(self) -> str:
         sizes = sorted(
             (len(c) for c in self.best.communities), reverse=True

@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--backend",
             default=None,
             help="execution backend for member fan-outs "
-            "(serial/thread/process/vectorized; default: library default)",
+            "(vectorized/serial/process; default: vectorized)",
         )
         p.add_argument(
             "--max-workers", type=int, default=None, help="pool width"
@@ -91,12 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=None,
             help="override refinement-ensemble size",
-        )
-        p.add_argument(
-            "--solver",
-            default=None,
-            help="set-cover solver for the selection stage "
-            "(branch-and-bound/pulp; default: experiment spec)",
         )
         p.add_argument(
             "--json",
@@ -130,13 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
         "experiments",
         nargs="*",
         help="experiment names (default: all six)",
-    )
-    sweep.add_argument(
-        "--fused",
-        action="store_true",
-        help="prewarm the member cache first by running every "
-        "experiment's held-out runs batched on the kernel-fused "
-        "vectorized runtime (per-experiment stages then resume them)",
     )
     add_run_options(sweep)
 
@@ -193,15 +180,6 @@ def _resolve_experiment(args):
 
         overrides["refine"] = dataclasses.replace(
             base, members=args.refine_members
-        )
-    if getattr(args, "solver", None) is not None:
-        import dataclasses
-
-        from .selection import SelectionSpec
-
-        base_sel = spec.selection or SelectionSpec()
-        overrides["selection"] = dataclasses.replace(
-            base_sel, solver=args.solver
         )
     return spec.with_(**overrides) if overrides else spec
 
@@ -281,9 +259,8 @@ EX_USAGE = 2
 
 
 def _validate_names(args) -> Optional[str]:
-    """Resolve the experiment, backend, batch-size and solver knobs up
-    front; the error message (naming every known candidate) on a bad one,
-    else None."""
+    """Resolve the experiment, backend and batch-size knobs up front; the
+    error message (naming every known candidate) on a bad one, else None."""
     from .ensemble.backends import (
         InvalidBatchSizeError,
         UnknownBackendError,
@@ -291,11 +268,8 @@ def _validate_names(args) -> Optional[str]:
         validate_batch_size,
     )
     from .experiments import UnknownExperimentError
-    from .selection import UnknownSolverError, get_solver
 
     try:
-        if getattr(args, "solver", None) is not None:
-            get_solver(args.solver)
         _resolve_experiment(args)
         if args.backend is not None:
             get_backend(args.backend, max_workers=args.max_workers)
@@ -305,7 +279,6 @@ def _validate_names(args) -> Optional[str]:
         UnknownExperimentError,
         UnknownBackendError,
         InvalidBatchSizeError,
-        UnknownSolverError,
     ) as exc:
         return str(exc)
     return None
@@ -313,8 +286,7 @@ def _validate_names(args) -> Optional[str]:
 
 def _apply_vec_batch(args) -> None:
     """Export a validated ``--vec-batch`` as ``REPRO_VEC_BATCH`` so every
-    vectorized pass in this process (ensemble stages, fused prewarm)
-    picks the width up at run time."""
+    vectorized pass in this process picks the width up at run time."""
     if getattr(args, "vec_batch", None) is None:
         return
     import os
@@ -385,25 +357,6 @@ def _cmd_sweep(args, out) -> int:
     _apply_vec_batch(args)
     tracing = bool(args.trace or args.profile)
     documents, failures = {}, []
-    prewarm_doc = None
-    if getattr(args, "fused", False):
-        from .pipeline import fused_experimental_pipeline
-
-        specs = [
-            _resolve_experiment(
-                argparse.Namespace(**{**vars(args), "experiment": name})
-            )
-            for name in names
-        ]
-        prewarm = fused_experimental_pipeline(
-            specs, store_dir=args.store
-        ).run()
-        if args.json:
-            prewarm_doc = prewarm.to_dict()
-        else:
-            print("## fused prewarm", file=out)
-            _print_stage_table(prewarm, out)
-            print("", file=out)
     try:
         for name in names:
             sweep_args = argparse.Namespace(**{**vars(args), "experiment": name})
@@ -438,8 +391,6 @@ def _cmd_sweep(args, out) -> int:
             disable_tracing()
     if args.json:
         doc = {"experiments": documents, "failures": failures}
-        if prewarm_doc is not None:
-            doc["fused_prewarm"] = prewarm_doc
         print(json.dumps(doc, indent=2, sort_keys=True), file=out)
     return 1 if failures else 0
 

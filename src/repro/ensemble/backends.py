@@ -3,31 +3,9 @@
 ``generate_ensemble`` is a *coordinator*: it derives member configs,
 consults the artifact cache, and hands the cache misses to an
 :class:`ExecutionBackend` that decides **where** the interpreter runs.
-Four backends ship:
+Three backends ship:
 
-``serial``
-    Run members one after another in the calling thread.  The reference
-    semantics every other backend must match bit-for-bit, and the fastest
-    choice for one or two members.
-
-``thread``
-    A :class:`concurrent.futures.ThreadPoolExecutor` sharing one parsed
-    :class:`~repro.model.builder.ModelSource`.  Cheap to start and fine for
-    overlapping cache I/O, but the interpreter is pure Python, so member
-    *execution* is GIL-bound — wall clock scales like ``serial`` no matter
-    the pool width.
-
-``process``
-    A :class:`concurrent.futures.ProcessPoolExecutor` that sidesteps the
-    GIL.  Each worker keeps a per-process ``{model token: parsed
-    ModelSource}`` cache, so a worker pays the build + parse cost once and
-    then runs many members against the cached ASTs; under the ``fork``
-    start method the workers additionally inherit the parent's already
-    parsed source for free.  Workers return :class:`RunArtifact` values
-    (plain arrays + counters), never interpreter internals, so the IPC
-    payload stays small and version-stable.
-
-``vectorized``
+``vectorized`` (the default)
     One member-batched interpreter pass (:mod:`repro.runtime.vec`) that
     advances every member at once over numpy arrays carrying a leading
     member axis.  Single-core and GIL-friendly, it beats the scalar
@@ -35,10 +13,25 @@ Four backends ship:
     configs differ in more than ``pertlim``/``seed`` fall into separate
     batches automatically.
 
+``serial``
+    Run members one after another in the calling thread.  The reference
+    semantics every other backend must match bit-for-bit, and the fastest
+    scalar choice for one or two members.
+
+``process``
+    A :class:`concurrent.futures.ProcessPoolExecutor`, the multi-core
+    path.  Each worker keeps a per-process ``{model token: parsed
+    ModelSource}`` cache, so a worker pays the build + parse cost once and
+    then runs many members against the cached ASTs; under the ``fork``
+    start method the workers additionally inherit the parent's already
+    parsed source for free.  Workers return :class:`RunArtifact` values
+    (plain arrays + counters), never interpreter internals, so the IPC
+    payload stays small and version-stable.
+
 Every backend maps the same ``(index, RunConfig)`` list to the same
-artifacts — the interpreter is deterministic, so ``serial``, ``thread``,
-``process`` and ``vectorized`` produce bit-identical ensembles (a
-conformance test holds them to that).
+artifacts — the interpreter is deterministic, so ``serial``, ``process``
+and ``vectorized`` produce bit-identical ensembles (a conformance test
+holds them to that).
 
 Backends are looked up by name via :func:`get_backend`; the selection knob
 on :class:`~repro.ensemble.spec.EnsembleSpec` / ``generate_ensemble`` and
@@ -67,7 +60,6 @@ __all__ = [
     "InvalidBatchSizeError",
     "ProcessBackend",
     "SerialBackend",
-    "ThreadBackend",
     "UnknownBackendError",
     "VectorizedBackend",
     "get_backend",
@@ -149,37 +141,13 @@ def resolve_vec_batch(*candidates) -> Optional[tuple[int, str]]:
 BACKEND_ENV_VAR = "REPRO_ENSEMBLE_BACKEND"
 
 #: the fallback when nothing selects a backend (see ``resolve_backend_name``)
-DEFAULT_BACKEND = "thread"
+DEFAULT_BACKEND = "vectorized"
 
 
 def _bare_artifact(source: ModelSource, config: RunConfig) -> RunArtifact:
-    """Run one member and wrap it as an artifact (shared by all backends)."""
+    """Run one member and wrap it as an artifact (serial and process)."""
     result = run_model(config, source=source)
     return RunArtifact.from_result(result, member_cache_key(source, config))
-
-
-def _run_artifact(
-    source: ModelSource,
-    config: RunConfig,
-    parent_id: Optional[str] = None,
-    backend: Optional[str] = None,
-) -> RunArtifact:
-    """One member under an ``ensemble.member`` span (in-process backends).
-
-    ``parent_id`` carries the submitting thread's current span into pool
-    threads, whose own span stacks are empty.
-    """
-    tracer = get_tracer()
-    span = tracer.span(
-        "ensemble.member",
-        lambda: {"seed": config.seed, "nsteps": config.nsteps,
-                 "backend": backend},
-        parent_id=parent_id,
-    )
-    with span:
-        artifact = _bare_artifact(source, config)
-        span.annotate(statements=int(artifact.statements_executed))
-    return artifact
 
 
 class ExecutionBackend(ABC):
@@ -217,43 +185,16 @@ class SerialBackend(ExecutionBackend):
         source: ModelSource,
         jobs: list[tuple[int, RunConfig]],
     ) -> Iterator[tuple[int, RunArtifact]]:
+        tracer = get_tracer()
         for index, config in jobs:
-            yield index, _run_artifact(source, config, backend=self.name)
-
-
-class ThreadBackend(ExecutionBackend):
-    """Thread-pool fan-out over one shared parsed source (GIL-bound)."""
-
-    name = "thread"
-
-    def __init__(self, max_workers: Optional[int] = None):
-        self.max_workers = max_workers
-
-    def run_members(
-        self,
-        source: ModelSource,
-        jobs: list[tuple[int, RunConfig]],
-    ) -> Iterator[tuple[int, RunArtifact]]:
-        from concurrent.futures import ThreadPoolExecutor
-
-        workers = self.max_workers or min(4, len(jobs)) or 1
-        # pool threads have empty span stacks: hand them the submitting
-        # thread's current span so member spans still nest under the stage
-        parent = get_tracer().current_id()
-        with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-            pending = {
-                pool.submit(
-                    _run_artifact, source, config, parent, self.name
-                ): index
-                for index, config in jobs
-            }
-            while pending:
-                done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    yield pending.pop(future), future.result()
-
-    def describe(self) -> str:
-        return f"thread(max_workers={self.max_workers or 'auto'})"
+            with tracer.span(
+                "ensemble.member",
+                lambda: {"seed": config.seed, "nsteps": config.nsteps,
+                         "backend": self.name},
+            ) as span:
+                artifact = _bare_artifact(source, config)
+                span.annotate(statements=int(artifact.statements_executed))
+            yield index, artifact
 
 
 # --------------------------------------------------------------------------
@@ -538,7 +479,6 @@ def list_backends() -> list[str]:
 
 
 register_backend("serial", lambda max_workers=None: SerialBackend())
-register_backend("thread", ThreadBackend)
 register_backend("process", ProcessBackend)
 register_backend(
     "vectorized",
@@ -568,9 +508,9 @@ def get_backend(
     ``max_workers`` is a :class:`ValueError` rather than a silently
     ignored knob; a string is looked up in the registry; ``None`` falls
     back to the ``REPRO_ENSEMBLE_BACKEND`` environment variable and then
-    to ``"thread"``.  A name the registry does not know — wherever it came
-    from, argument, spec or environment — raises
-    :class:`UnknownBackendError` listing every registered backend.
+    to :data:`DEFAULT_BACKEND` (``"vectorized"``).  A name the registry
+    does not know — wherever it came from, argument, spec or environment —
+    raises :class:`UnknownBackendError` listing every registered backend.
     """
     if isinstance(backend, ExecutionBackend):
         if max_workers is not None:

@@ -42,11 +42,11 @@ class EnsembleSpec:
     fp: FPConfig = field(default_factory=FPConfig)
     collect_coverage: bool = True
     max_statements: int = 50_000_000
-    #: execution-backend name for the member fan-out (``"serial"``,
-    #: ``"thread"`` or ``"process"`` — see :mod:`repro.ensemble.backends`).
+    #: execution-backend name for the member fan-out (``"vectorized"``,
+    #: ``"serial"`` or ``"process"`` — see :mod:`repro.ensemble.backends`).
     #: ``None`` defers to ``generate_ensemble``'s ``backend=`` argument,
     #: then the ``REPRO_ENSEMBLE_BACKEND`` environment variable, then
-    #: ``"thread"``.  The backend only chooses *where* members run: every
+    #: ``"vectorized"``.  The backend only chooses *where* members run: every
     #: backend produces bit-identical ensembles.
     backend: str | None = None
     #: batch-width bound for the ``vectorized`` backend (``None`` = defer

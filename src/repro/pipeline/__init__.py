@@ -47,7 +47,6 @@ from .core import (
 from .stages import (
     RootCauseAnalysis,
     accepted_ensemble,
-    fused_experimental_pipeline,
     root_cause_pipeline,
 )
 from .store import ArtifactStore, StoreError, json_payload, payload_json
@@ -65,7 +64,6 @@ __all__ = [
     "StoreError",
     "accepted_ensemble",
     "config_token",
-    "fused_experimental_pipeline",
     "json_payload",
     "payload_json",
     "root_cause_pipeline",

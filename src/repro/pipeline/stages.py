@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
+from ..analysis import CommunityResult
 from ..ect import EctConfig, EctResult, UltraFastECT
 from ..ensemble import Ensemble, generate_ensemble, member_cache_key
 from ..ensemble.spec import EnsembleSpec
@@ -53,10 +54,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "RootCauseAnalysis",
     "accepted_ensemble",
-    "fused_experimental_pipeline",
     "make_ect_stage",
     "make_ensemble_stage",
-    "make_fused_experimental_stage",
     "make_selection_stage",
     "make_source_stage",
     "root_cause_pipeline",
@@ -133,6 +132,39 @@ def make_metagraph_stage(source_input: str = "control_source") -> Stage:
         func=lambda ctx, **inputs: build_metagraph(inputs[source_input]),
         inputs=(source_input,),
         cacheable=False,
+    )
+
+
+def make_communities_stage() -> Stage:
+    """Girvan-Newman communities of the metagraph's module quotient.
+
+    Computed once per control build and consumed by both the selection
+    stage (the greedy warm start's community groups) and the refine stage
+    (Algorithm 5.4's sampling scopes).  Cacheable, so a resumed run never
+    repeats the edge-betweenness sweep.
+    """
+
+    def func(ctx: StageContext, metagraph) -> CommunityResult:
+        from ..analysis import girvan_newman_communities, quotient_graph
+
+        communities = girvan_newman_communities(quotient_graph(metagraph))
+        ctx.annotate(communities=len(communities))
+        return communities
+
+    def encode(communities: CommunityResult, ctx, inputs) -> dict:
+        return json_payload(communities.to_dict())
+
+    def decode(payload, ctx: StageContext, inputs) -> CommunityResult:
+        communities = CommunityResult.from_dict(payload_json(payload))
+        ctx.annotate(communities=len(communities))
+        return communities
+
+    return Stage(
+        name="communities",
+        func=func,
+        inputs=("metagraph",),
+        encode=encode,
+        decode=decode,
     )
 
 
@@ -261,138 +293,6 @@ def make_experimental_runs_stage(
         encode=encode,
         decode=decode,
     )
-
-
-def make_fused_experimental_stage(
-    lanes: "list[tuple[str, str, list[RunConfig]]]",
-    *,
-    name: str = "fused_experimental_runs",
-) -> Stage:
-    """Every experiment's held-out runs, batched per source build.
-
-    ``lanes`` is ``[(experiment_name, source_stage, [RunConfig, ...]),
-    ...]``; each entry's configs share a model build, ``nsteps`` and fp
-    model, so they become the (config, member) lanes of one
-    :func:`~repro.runtime.vec.run_model_batch` call executed by the
-    kernel-fused vectorized runtime.  Lanes whose member artifact the
-    shared cache already holds are skipped — only the cold remainder is
-    batched — and every produced run is stored under its *unchanged*
-    :func:`~repro.ensemble.member_cache_key`, so warm interop with the
-    scalar per-experiment ``experimental_runs`` stages holds in both
-    directions.  Each multi-lane batch counts its extra lanes into the
-    ``vec.fused_configs`` metric.
-    """
-    inputs = tuple(dict.fromkeys(src for _, src, _ in lanes))
-
-    def func(ctx: StageContext, **sources) -> "dict[str, list[RunResult]]":
-        from ..obs import get_metrics
-        from ..runtime.vec import run_model_batch
-
-        out: dict[str, list[RunResult]] = {}
-        fused = 0
-        for exp_name, source_input, configs in lanes:
-            source = sources[source_input]
-            cache = ctx.member_cache
-            keys = [member_cache_key(source, c) for c in configs]
-            results: list[Optional[RunResult]] = [None] * len(configs)
-            cold: list[int] = []
-            for i, (key, config) in enumerate(zip(keys, configs)):
-                hit = cache.load(key, config) if cache is not None else None
-                if hit is not None:
-                    results[i] = hit
-                else:
-                    cold.append(i)
-            if cold:
-                batch = run_model_batch(
-                    [configs[i] for i in cold], source=source
-                )
-                fused += len(cold) - 1
-                for i, run in zip(cold, batch):
-                    results[i] = run
-                    if cache is not None:
-                        cache.store(keys[i], run)
-            out[exp_name] = results
-        if fused:
-            get_metrics().inc("vec.fused_configs", fused)
-        ctx.annotate(experiments=len(lanes), fused_configs=fused)
-        return out
-
-    def encode(value, ctx: StageContext, inputs_) -> dict:
-        return json_payload(
-            {
-                "run_keys": {
-                    exp_name: [
-                        member_cache_key(inputs_[source_input], config)
-                        for config in configs
-                    ]
-                    for exp_name, source_input, configs in lanes
-                }
-            }
-        )
-
-    def decode(payload, ctx: StageContext, inputs_):
-        meta = payload_json(payload)
-        out = {}
-        for exp_name, source_input, configs in lanes:
-            out[exp_name] = _load_cached_runs(
-                ctx,
-                inputs_[source_input],
-                configs,
-                list(meta["run_keys"][exp_name]),
-            )
-        ctx.annotate(experiments=len(lanes))
-        return out
-
-    return Stage(
-        name=name,
-        func=func,
-        inputs=inputs,
-        params={
-            "experiments": {
-                exp_name: configs for exp_name, _, configs in lanes
-            }
-        },
-        encode=encode,
-        decode=decode,
-    )
-
-
-def fused_experimental_pipeline(
-    experiments=None, *, store_dir=None
-) -> Pipeline:
-    """The cross-config prewarm DAG: all experiments' runs, batched.
-
-    One source stage per distinct experimental build plus a single
-    :func:`make_fused_experimental_stage` over every experiment's
-    held-out run configs.  Running this pipeline against the same store
-    as a sweep leaves the member cache warm, so each experiment's own
-    ``experimental_runs`` stage rehydrates instead of re-running —
-    ``run_sweep(fused=True)`` is exactly this followed by the per-
-    experiment pipelines.
-    """
-    from ..experiments import get_experiment, list_experiments
-
-    names = experiments if experiments is not None else list_experiments()
-    specs = [get_experiment(e) if isinstance(e, str) else e for e in names]
-    stages: list[Stage] = []
-    sources: dict[ModelConfig, str] = {}
-    lanes: list[tuple[str, str, list[RunConfig]]] = []
-    for spec in specs:
-        espec = spec.ensemble_spec()
-        model = spec.experimental_model()
-        fp = spec.experimental_fp()
-        stage_name = sources.get(model)
-        if stage_name is None:
-            stage_name = f"experimental_source_{len(sources)}"
-            sources[model] = stage_name
-            stages.append(make_source_stage(stage_name, model))
-        configs = [
-            espec.experimental_config(i, model=model, fp=fp)
-            for i in range(spec.n_runs)
-        ]
-        lanes.append((spec.name, stage_name, configs))
-    stages.append(make_fused_experimental_stage(lanes))
-    return Pipeline(stages, store_dir=store_dir)
 
 
 def make_coverage_run_stage(
@@ -576,8 +476,8 @@ def make_selection_stage(
     Runs :func:`repro.selection.select_culprits`: robust evidence
     selection over the ECT-failing variables, then the anchored
     minimum-weight set cover over the ranked slice's candidate pool,
-    warm-started from the Girvan-Newman community partition of the module
-    quotient graph.  The refine stage consumes the result as its initial
+    warm-started from the ``communities`` stage's Girvan-Newman partition
+    of the module quotient graph.  The refine stage consumes the result as its initial
     suspect set.
     """
     selection_spec = selection or SelectionSpec()
@@ -589,12 +489,10 @@ def make_selection_stage(
         ect,
         coverage_run,
         metagraph,
+        communities,
         control_source,
         ranked_slice,
     ) -> SelectionResult:
-        from ..analysis import girvan_newman_communities, quotient_graph
-
-        communities = girvan_newman_communities(quotient_graph(metagraph))
         result = select_culprits(
             control_ensemble,
             experimental_runs,
@@ -633,6 +531,7 @@ def make_selection_stage(
             "ect",
             "coverage_run",
             "metagraph",
+            "communities",
             "control_source",
             "ranked_slice",
         ),
@@ -660,6 +559,7 @@ def make_refine_stage(
         experimental_runs,
         coverage_run,
         metagraph,
+        communities,
         control_source,
     ) -> RefinementResult:
         result = refine_slice(
@@ -670,6 +570,7 @@ def make_refine_stage(
             graph=metagraph,
             source=control_source,
             coverage=coverage_run.coverage,
+            communities=communities,
             backend=backend,
             cache_dir=ctx.member_cache_dir,
             max_workers=max_workers,
@@ -758,6 +659,7 @@ def make_refine_stage(
             "experimental_runs",
             "coverage_run",
             "metagraph",
+            "communities",
             "control_source",
         ),
         params={"refine": refine_config},
@@ -847,6 +749,7 @@ def root_cause_pipeline(
     stages = [
         make_source_stage("control_source", spec.model),
         make_metagraph_stage(),
+        make_communities_stage(),
         make_ensemble_stage(
             spec, backend=backend, max_workers=max_workers
         ),

@@ -319,7 +319,7 @@ class IterativeRefinement:
 
         # refreshed evidence from the refinement ensemble: weights first,
         # then one slicer pass over exactly the top evidence variables
-        # (the `variables=` injection point) for scores + depths
+        # (the `evidence=` injection point) for scores + depths
         all_weights = variable_weights(self.ensemble, runs)
         evidence = [
             name

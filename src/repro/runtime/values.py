@@ -329,8 +329,8 @@ class MemberBatch(np.ndarray):
     the batched runtime requires two lanes to come from the same run
     configuration, only that lanes agree on whatever shapes the shared
     evaluation (the model build, ``nsteps``, the fp model).  A
-    cross-config batch — e.g. the fused patch sweep packing several
-    experiments' members side by side — is therefore just a
+    cross-config batch — e.g. several runs with different perturbations
+    packed side by side — is therefore just a
     ``MemberBatch`` whose lanes map to heterogeneous configs; use
     :meth:`lane` to slice one config's value back out.
     """

@@ -21,9 +21,6 @@ robust statistics over the per-variable deviation weights
     call the survivors active; *strong* evidence is an active variable whose
     shrunk weight is at least ``strength`` × the median positive shrinkage.
 
-``"topk"``
-    The legacy fixed-size cut, kept for comparison runs.
-
 Every method returns an :class:`EvidenceSelection`: the selected variables
 (strongest first), their weights, and the *anchor* subset — the strongest
 evidence whose slice neighbourhood the set-cover stage
@@ -44,7 +41,7 @@ __all__ = [
 ]
 
 #: recognised values of ``select_affected_variables(method=...)``
-EVIDENCE_METHODS = ("mad", "lasso", "topk")
+EVIDENCE_METHODS = ("mad", "lasso")
 
 
 @dataclass(frozen=True)
@@ -53,9 +50,8 @@ class EvidenceSelection:
 
     ``variables`` are ordered strongest evidence first (ties broken by
     name); ``anchors`` is the prefix of *strong* variables whose slice
-    neighbourhoods anchor the set-cover stage.  Also the replacement for
-    the deprecated ``slice_failing_runs(variables=...)`` kwarg — pass one
-    of these as ``evidence=`` instead.
+    neighbourhoods anchor the set-cover stage, and the ``evidence=`` of
+    :func:`repro.slicing.slice_failing_runs`.
     """
 
     #: selected variable base names, ordered by (-weight, name)
@@ -64,7 +60,7 @@ class EvidenceSelection:
     weights: Mapping[str, float] = field(default_factory=dict)
     #: the strong prefix anchoring slice-reachability constraints
     anchors: tuple[str, ...] = ()
-    #: how the selection was made ("mad", "lasso", "topk", "explicit")
+    #: how the selection was made ("mad", "lasso", "explicit")
     method: str = "explicit"
     #: the strong-evidence cut the method applied (0 when not applicable)
     threshold: float = 0.0
@@ -166,7 +162,7 @@ def select_affected_variables(
         mad = statistics.median([abs(v - med) for v in values])
         threshold = med + strength * mad
         strong = [name for name in ordered if weights[name] > threshold]
-    elif method == "lasso":
+    else:  # "lasso"
         values = sorted(weights.values(), reverse=True)
         lam = values[max_variables] if len(values) > max_variables else 0.0
         shrunk = {
@@ -183,8 +179,6 @@ def select_affected_variables(
             ]
         else:
             strong = []
-    else:  # "topk"
-        strong = ordered[:max_variables]
 
     selected = list(strong)
     for name in ordered:

@@ -92,6 +92,17 @@ def test_community_of_and_len():
         result.community_of("zz")
 
 
+def test_dict_round_trip_is_exact():
+    """The pipeline's cached ``communities`` stage relies on this."""
+    import json
+
+    result = girvan_newman_communities(planted_two_cluster_graph(3, 4, 8)[0])
+    again = CommunityResult.from_dict(json.loads(json.dumps(result.to_dict())))
+    assert again.levels == result.levels
+    assert again.best == result.best
+    assert again.community_of("a0") == result.community_of("a0")
+
+
 def test_modularity_validates_partitions():
     q, a, b = planted_two_cluster_graph(0, 5, 5)
     with pytest.raises(ValueError, match="two communities"):

@@ -9,7 +9,6 @@ from repro.ensemble import (
     InvalidBatchSizeError,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     UnknownBackendError,
     VectorizedBackend,
     generate_ensemble,
@@ -19,6 +18,7 @@ from repro.ensemble import (
 )
 from repro.ensemble.backends import (
     BACKEND_ENV_VAR,
+    DEFAULT_BACKEND,
     VEC_BATCH_ENV_VAR,
     _model_token,
     _WORKER_SOURCES,
@@ -41,7 +41,7 @@ def serial_ensemble(shared_source):
 class TestConformance:
     """Acceptance: every backend is bit-identical to the serial reference."""
 
-    @pytest.mark.parametrize("backend", ["thread", "process", "vectorized"])
+    @pytest.mark.parametrize("backend", ["process", "vectorized"])
     def test_backend_matches_serial_bit_for_bit(
         self, backend, shared_source, serial_ensemble
     ):
@@ -105,21 +105,19 @@ class TestWorkerSourceCache:
 
 class TestRegistry:
     def test_builtin_backends_listed(self):
-        assert {"serial", "thread", "process", "vectorized"} <= set(
-            list_backends()
-        )
+        assert list_backends() == ["process", "serial", "vectorized"]
 
     def test_get_backend_by_name(self):
         assert isinstance(get_backend("serial"), SerialBackend)
-        assert isinstance(get_backend("thread"), ThreadBackend)
         assert isinstance(get_backend("process"), ProcessBackend)
+        assert isinstance(get_backend("vectorized"), VectorizedBackend)
 
     def test_get_backend_passthrough_instance(self):
-        backend = ThreadBackend(max_workers=2)
+        backend = ProcessBackend(max_workers=2)
         assert get_backend(backend) is backend
 
     def test_max_workers_cannot_silently_override_an_instance(self):
-        backend = ThreadBackend(max_workers=2)
+        backend = ProcessBackend(max_workers=2)
         with pytest.raises(ValueError, match="max_workers"):
             get_backend(backend, max_workers=4)
 
@@ -189,7 +187,7 @@ class TestSelectionKnobs:
     def test_argument_overrides_spec(self, shared_source):
         import dataclasses
 
-        spec = dataclasses.replace(SMALL, backend="thread")
+        spec = dataclasses.replace(SMALL, backend="process")
         ens = generate_ensemble(spec, source=shared_source, backend="serial")
         assert ens.stats["backend"] == "serial"
 
@@ -200,9 +198,10 @@ class TestSelectionKnobs:
         ens = generate_ensemble(SMALL, source=shared_source)
         assert ens.stats["backend"] == "serial"
 
-    def test_environment_default_is_thread(self, monkeypatch):
+    def test_environment_default_is_vectorized(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert isinstance(get_backend(None), ThreadBackend)
+        assert DEFAULT_BACKEND == "vectorized"
+        assert isinstance(get_backend(None), VectorizedBackend)
 
     def test_spec_backend_does_not_change_member_configs(self):
         import dataclasses

@@ -3,7 +3,7 @@
 The contract: every ensemble member produces exactly one
 ``ensemble.member`` span in the *parent* trace, with a stable parent id
 (the enclosing ``ensemble.generate`` span), whether it ran inline, in a
-pool thread, or in a ``fork``/``spawn`` worker process — and a
+vectorized batch, or in a ``fork``/``spawn`` worker process — and a
 killed-mid-stage resume never duplicates member spans, because the
 resumed stages are cache hits that run no members at all.
 """
@@ -29,7 +29,7 @@ def generate_span(spans):
     return span
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "vectorized"])
+@pytest.mark.parametrize("backend", ["serial", "process", "vectorized"])
 def test_in_process_backends_one_span_per_member(backend):
     enable_tracing()
     generate_ensemble(SPEC, backend=backend)

@@ -74,15 +74,6 @@ class TestLasso:
         assert ev.variables == ("A", "B")
 
 
-class TestTopk:
-    def test_legacy_cut_is_the_k_strongest(self):
-        ev = select_affected_variables(
-            OUTLIER_WEIGHTS, method="topk", max_variables=3, min_variables=3
-        )
-        assert ev.variables == ("WSUB", "PRECT", "FSNS")
-        assert ev.anchors == ("WSUB", "PRECT", "FSNS")
-
-
 class TestEdgesAndValidation:
     def test_empty_weights_select_nothing(self):
         ev = select_affected_variables({}, method="mad")

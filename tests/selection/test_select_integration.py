@@ -9,11 +9,7 @@ import pytest
 from repro.experiments import get_experiment
 from repro.pipeline import RootCauseAnalysis, root_cause_pipeline
 from repro.refine import RefinementConfig
-from repro.selection import (
-    SelectionResult,
-    SelectionSpec,
-    select_culprits,
-)
+from repro.selection import SelectionResult, select_culprits
 
 SMALL_EXPERIMENT = get_experiment("wsubbug").with_(
     members=6, nsteps=1, refine=RefinementConfig(members=4)
@@ -83,15 +79,22 @@ class TestStage:
         assert second.record("refined").status == "hit"
         assert second["refined"].extra == first["refined"].extra
 
-    def test_solver_knob_changes_the_selection_stage_key(self):
-        base = root_cause_pipeline(SMALL_EXPERIMENT).keys()
-        pulped = root_cause_pipeline(
-            SMALL_EXPERIMENT.with_(
-                selection=SelectionSpec(solver="pulp")
-            )
-        ).keys()
-        assert base["selection"] != pulped["selection"]
-        assert base["ranked_slice"] == pulped["ranked_slice"]
+    def test_one_communities_result_feeds_selection_and_refine(
+        self, small_run
+    ):
+        store, first = small_run
+        pipeline = root_cause_pipeline(SMALL_EXPERIMENT)
+        for stage in ("selection", "refined"):
+            assert "communities" in pipeline.stage(stage).inputs
+        assert first["refined"].communities is first["communities"]
+        second = RootCauseAnalysis(
+            SMALL_EXPERIMENT, store_dir=store, backend="serial"
+        ).run()
+        assert second.record("communities").status == "hit"
+        assert (
+            second["communities"].communities
+            == first["communities"].communities
+        )
 
 
 class TestSelectCulprits:

@@ -33,12 +33,10 @@ class TestHierarchy:
         from repro.ensemble.backends import UnknownBackendError
         from repro.model.patches import UnknownPatchError
         from repro.pipeline.store import StoreError
-        from repro.selection import UnknownSolverError
 
         assert errors_module.UnknownBackendError is UnknownBackendError
         assert errors_module.UnknownPatchError is UnknownPatchError
         assert errors_module.StoreError is StoreError
-        assert errors_module.UnknownSolverError is UnknownSolverError
 
     def test_historical_builtin_bases_survive(self):
         # pre-consolidation except clauses keep matching
@@ -46,19 +44,16 @@ class TestHierarchy:
         assert issubclass(errors_module.StageError, RuntimeError)
         assert issubclass(errors_module.UnknownExperimentError, KeyError)
         assert issubclass(errors_module.UnknownBackendError, KeyError)
-        assert issubclass(errors_module.UnknownSolverError, KeyError)
         assert issubclass(errors_module.ArtifactError, ValueError)
         assert issubclass(errors_module.CoverageReportError, ValueError)
 
     def test_one_except_catches_scattered_raisers(self):
         from repro.experiments import get_experiment
         from repro.model import get_patch
-        from repro.selection import get_solver
 
         for trigger in (
             lambda: get_experiment("warpdrive"),
             lambda: get_patch("warpdrive"),
-            lambda: get_solver("warpdrive"),
         ):
             with pytest.raises(ReproError):
                 trigger()
@@ -84,7 +79,8 @@ class TestCliExitCodes:
         [
             (["run", "warpdrive"], "warpdrive"),
             (["run", "wsubbug", "--backend", "quantum"], "quantum"),
-            (["run", "wsubbug", "--solver", "simplex"], "simplex"),
+            # "thread" is not a backend: the error names the ones that are
+            (["run", "wsubbug", "--backend", "thread"], "vectorized"),
             (["run", "wsubbug", "--vec-batch", "0"], "--vec-batch"),
         ],
     )
@@ -96,13 +92,16 @@ class TestCliExitCodes:
         assert "error:" in err and fragment in err
         assert list(tmp_path.iterdir()) == []  # nothing ran
 
-    def test_unknown_solver_names_the_known_ones(self, tmp_path, capsys):
-        code, _ = self.invoke(
-            ["run", "wsubbug", "--solver", "simplex", "--store", str(tmp_path)]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "branch-and-bound" in err and "pulp" in err
+    def test_removed_options_are_argparse_usage_errors(self, tmp_path, capsys):
+        for argv in (
+            ["sweep", "--fused"],
+            ["run", "wsubbug", "--solver", "branch-and-bound"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                self.invoke(argv + ["--store", str(tmp_path)])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []  # nothing ran
 
     def test_not_localized_run_exits_1(self, tmp_path, monkeypatch):
         from repro.reporting.report import LocalizationReport, VerdictReport

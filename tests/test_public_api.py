@@ -1,9 +1,7 @@
 """The lazy public API of :mod:`repro` resolves or fails loudly.
 
-Every symbol in ``repro.__all__`` whose backing module is implemented must
-import; symbols whose backing module is a later PR must raise a clear
-``AttributeError`` naming the pending module — never a bare
-``ModuleNotFoundError`` out of attribute access.
+Every symbol in ``repro.__all__`` must resolve to the object its backing
+module defines; an unknown name raises ``AttributeError``.
 """
 
 import importlib
@@ -12,37 +10,7 @@ import pytest
 
 import repro
 
-#: backing modules implemented as of this PR
-IMPLEMENTED_MODULES = {
-    "repro.fortran",
-    "repro.model",
-    "repro.graphs",
-    "repro.runtime",
-    "repro.kgen",
-    "repro.ensemble",
-    "repro.ect",
-    "repro.coverage",
-    "repro.slicing",
-    "repro.analysis",
-    "repro.refine",
-    "repro.pipeline",
-    "repro.experiments",
-    "repro.reporting",
-    "repro.obs",
-    "repro.selection",
-    "repro.errors",
-}
-
-IMPLEMENTED = sorted(
-    name
-    for name, (module, _) in repro._LAZY_EXPORTS.items()
-    if module in IMPLEMENTED_MODULES
-)
-PENDING = sorted(
-    name
-    for name, (module, _) in repro._LAZY_EXPORTS.items()
-    if module not in IMPLEMENTED_MODULES
-)
+EXPORTS = sorted(repro._LAZY_EXPORTS)
 
 
 def test_version_is_exported():
@@ -53,22 +21,15 @@ def test_all_lists_every_lazy_export():
     assert set(repro._LAZY_EXPORTS) <= set(repro.__all__)
 
 
-@pytest.mark.parametrize("name", IMPLEMENTED)
+@pytest.mark.parametrize("name", EXPORTS)
 def test_implemented_symbols_resolve(name):
     assert getattr(repro, name) is not None
 
 
-@pytest.mark.parametrize("name", IMPLEMENTED)
+@pytest.mark.parametrize("name", EXPORTS)
 def test_lazy_export_matches_direct_import(name):
     module_name, attr = repro._LAZY_EXPORTS[name]
     assert getattr(repro, name) is getattr(importlib.import_module(module_name), attr)
-
-
-@pytest.mark.parametrize("name", PENDING)
-def test_pending_symbols_raise_clear_attribute_error(name):
-    module_name, _ = repro._LAZY_EXPORTS[name]
-    with pytest.raises(AttributeError, match=module_name):
-        getattr(repro, name)
 
 
 def test_unknown_attribute_raises_attribute_error():
@@ -92,3 +53,15 @@ def test_graphs_package_imports():
     module = importlib.import_module("repro.graphs")
     for name in module.__all__:
         assert getattr(module, name) is not None
+
+
+@pytest.mark.parametrize("module", ["repro", "repro.selection", "repro.errors"])
+def test_no_solver_registry_is_exported(module):
+    """Branch-and-bound is the one set-cover solver: no registry names."""
+    mod = importlib.import_module(module)
+    for name in (
+        "Solver", "PulpSolver", "get_solver", "list_solvers",
+        "UnknownSolverError",
+    ):
+        assert name not in mod.__all__
+        assert not hasattr(mod, name)
