@@ -203,6 +203,10 @@ def _profile_rows(result, top: int = 10) -> list:
     """
     from .obs import hot_modules
 
+    # the run's own wall, taken before reading any stage: on a resumed run
+    # ``outputs`` materializes a stage on first access, and that decode
+    # is the profile's cost, not the run's
+    wall = sum(rec.wall_s for rec in result.records)
     # prefer the accepted ensemble's merged member coverage; fall back to
     # the dedicated instrumented coverage run (the ensemble members run
     # with coverage off in most experiment specs)
@@ -223,7 +227,6 @@ def _profile_rows(result, top: int = 10) -> list:
         from .slicing.seeds import module_file_map
 
         names = {fname: mod for mod, fname in module_file_map(source).items()}
-    wall = sum(rec.wall_s for rec in result.records)
     return hot_modules(per_file, wall, top=top, module_names=names)
 
 

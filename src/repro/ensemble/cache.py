@@ -99,6 +99,8 @@ class MemberCache:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.hits = 0
         self.misses = 0
+        #: entries that exist but fail to load (each also a miss)
+        self.corrupt = 0
 
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.npz"
@@ -121,11 +123,11 @@ class MemberCache:
             ValueError,
             IndexError,
         ):
-            self._miss()
+            self._corrupt()
             return None
         if artifact.config_key != key:
             # a renamed/mangled entry: never serve it under the wrong key
-            self._miss()
+            self._corrupt()
             return None
         self.hits += 1
         get_metrics().inc("member_cache.hits")
@@ -134,6 +136,11 @@ class MemberCache:
     def _miss(self) -> None:
         self.misses += 1
         get_metrics().inc("member_cache.misses")
+
+    def _corrupt(self) -> None:
+        self.corrupt += 1
+        get_metrics().inc("member_cache.corrupt")
+        self._miss()
 
     def load(self, key: str, config: RunConfig) -> Optional[RunResult]:
         """The cached result for ``key`` rehydrated for ``config``."""

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 from ..fortran import parse_source
 from ..fortran.ast_nodes import ModuleNode, SourceFileAST
+from ..obs import get_metrics, get_tracer
 from .patches import get_patch
 from .registry import CompsetSpec, get_compset, iter_module_specs
 from . import modules as _modules
@@ -103,16 +104,26 @@ class ModelSource:
         result for the default call is cached.
         """
         if include_uncompiled:
+            return self._parse_files(self.files)
+        if self._asts is None:
+            self._asts = self._parse_files(self.compiled_sources())
+        return self._asts
+
+    def _parse_files(self, sources: dict[str, str]) -> dict[str, SourceFileAST]:
+        """Parse ``sources`` under a ``frontend.parse`` span; counts the
+        files in the ``frontend.files_parsed`` metric."""
+        get_metrics().inc("frontend.files_parsed", len(sources))
+        with get_tracer().span(
+            "frontend.parse",
+            lambda: {
+                "files": len(sources),
+                "bytes": sum(len(text.encode()) for text in sources.values()),
+            },
+        ):
             return {
                 name: parse_source(text, filename=name, macros=self.macros)
-                for name, text in self.files.items()
+                for name, text in sources.items()
             }
-        if self._asts is None:
-            self._asts = {
-                name: parse_source(text, filename=name, macros=self.macros)
-                for name, text in self.compiled_sources().items()
-            }
-        return self._asts
 
     def modules(self) -> dict[str, ModuleNode]:
         """Mapping of Fortran module name -> parsed module (compiled files)."""

@@ -18,13 +18,17 @@ of the DAG resumes from cache bit-identically.  Stage functions are
 assumed pure given their params and inputs; the params mapping is that
 contract.
 
-:class:`Pipeline` executes the stages in dependency order (deterministic:
-declaration order breaks ties), consulting the store before running each
-cacheable stage, and returns a :class:`PipelineResult` whose
-:class:`StageRecord` list says for every stage whether it was a cache
-``hit`` or ``ran``, how long it took, and how many store / member-cache
-hits and misses it saw — the observability that makes resume semantics
-testable.
+:class:`Pipeline` runs demand-driven.  It walks the stages in dependency
+order (deterministic: declaration order breaks ties) and derives every
+key; a stage runs in that walk only if its key contribution needs its
+value (a ``fingerprint``) or it is cacheable and the store lacks it.  A
+store hit is decoded only when its value is read — by a stage that runs,
+by a ``decode`` through its lazy ``inputs``, or by the caller through the
+returned :class:`PipelineResult` — so a fully cached run decodes just the
+terminal stage.  The :class:`StageRecord` list says for every stage
+whether it was a cache ``hit``, ``ran`` or was ``skipped``, how long its
+own work took, and how many store / member-cache hits and misses it saw —
+the observability that makes resume semantics testable.
 """
 
 from __future__ import annotations
@@ -33,9 +37,12 @@ import dataclasses
 import hashlib
 import json
 import time
+from collections import Counter
+from collections.abc import Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from ..ensemble.cache import MemberCache, _json_safe
 from ..errors import ReproError
@@ -112,10 +119,12 @@ class Stage:
     ``func(ctx, **inputs)`` computes the value; ``inputs`` are keyword
     arguments named after the upstream stages.  Cacheable stages must
     supply ``encode(value, ctx, inputs) -> payload`` and ``decode(payload,
-    ctx, inputs) -> value``; ``fingerprint(value)``, when given, replaces the
-    stage key as this stage's contribution to downstream keys (used by
-    non-cacheable stages whose *content* matters downstream, e.g. the
-    built model source contributing its content digest).
+    ctx, inputs) -> value``; ``decode``'s ``inputs`` is lazy, so an input
+    is materialized only if the decode reads it.  ``fingerprint(value)``,
+    when given, replaces the stage key as this stage's contribution to
+    downstream keys (used by non-cacheable stages whose *content* matters
+    downstream, e.g. the built model source contributing its content
+    digest); such a stage always runs, since its key needs its value.
     """
 
     name: str
@@ -124,7 +133,7 @@ class Stage:
     params: Mapping[str, Any] = field(default_factory=dict)
     cacheable: bool = True
     encode: Optional[Callable[[Any], Mapping]] = None
-    decode: Optional[Callable[[Mapping, "StageContext", dict], Any]] = None
+    decode: Optional[Callable[[Mapping, "StageContext", Mapping], Any]] = None
     fingerprint: Optional[Callable[[Any], str]] = None
 
     def __post_init__(self) -> None:
@@ -173,11 +182,13 @@ class StageRecord:
 
     name: str
     key: str
-    #: ``"hit"`` (decoded from the store without running) or ``"ran"``
+    #: ``"hit"`` (served from the store, not re-run; decoded only when
+    #: read), ``"ran"``, ``"skipped"`` (not cacheable and never read, so
+    #: never run) or ``"error"``
     status: str = "ran"
     cacheable: bool = True
     wall_s: float = 0.0
-    #: store loads this stage answered from disk / missed
+    #: 1 if the store served this stage / 1 if it had to run instead
     store_hits: int = 0
     store_misses: int = 0
     #: ensemble member-cache hits/misses attributable to this stage
@@ -185,7 +196,8 @@ class StageRecord:
     member_misses: int = 0
     #: free-form annotations from the stage function (``ctx.annotate``)
     info: dict = field(default_factory=dict)
-    #: trace span id of this stage's execution ("" when tracing is off)
+    #: trace span id of this stage's materialization ("" when tracing
+    #: is off or the stage was never materialized)
     span_id: str = ""
     #: metrics counters that moved while this stage executed
     metrics: dict = field(default_factory=dict)
@@ -243,9 +255,16 @@ class StageContext:
 
 @dataclass
 class PipelineResult:
-    """Stage values plus the per-stage execution records of one run."""
+    """Stage values plus the per-stage execution records of one run.
 
-    outputs: dict[str, Any]
+    ``outputs`` materializes each value on first access: a store hit is
+    decoded then (re-running the stage, and flipping its record to
+    ``"ran"``, if the entry turns out unreadable) and a skipped stage
+    runs then.  ``store_stats`` is the store's counters when
+    :meth:`Pipeline.run` returned.
+    """
+
+    outputs: Mapping[str, Any]
     records: list[StageRecord]
     store_stats: Optional[dict] = None
     terminal: str = ""
@@ -374,81 +393,186 @@ class Pipeline:
         return out
 
     def run(self) -> PipelineResult:
-        """Execute the DAG, resuming every cacheable stage the store holds."""
-        store = member_cache = None
-        if self.store_dir is not None:
-            store = ArtifactStore(self.store_dir / "stages")
-            member_cache = MemberCache(self.store_dir / "members")
+        """Execute the DAG on demand, resuming every stage the store holds.
 
-        tracer = get_tracer()
-        metrics = get_metrics()
-        values: dict[str, Any] = {}
-        fingerprints: dict[str, str] = {}
-        records: list[StageRecord] = []
-        with tracer.span(
+        Only the terminal stage is materialized here; every other store
+        hit is decoded when the result (or a stage that runs) reads it.
+        """
+        state = _RunState(self)
+        with get_tracer().span(
             "pipeline.run",
-            lambda: {"stages": len(self.stages), "cached": store is not None},
+            lambda: {
+                "stages": len(self.stages),
+                "cached": state.store is not None,
+            },
         ):
             for stage in self.stages:
-                key = stage.key({i: fingerprints[i] for i in stage.inputs})
-                record = StageRecord(
-                    name=stage.name, key=key, cacheable=stage.cacheable
-                )
-                ctx = StageContext(record, member_cache)
-                inputs = {i: values[i] for i in stage.inputs}
-                span = tracer.span(f"stage:{stage.name}", {"key": key[:12]})
-                record.span_id = span.span_id
-                metrics_before = metrics.counters()
-                started = time.perf_counter()
-                store_h0 = store.hits if store else 0
-                store_m0 = store.misses if store else 0
-                member_h0 = member_cache.hits if member_cache else 0
-                member_m0 = member_cache.misses if member_cache else 0
-
-                with span:
-                    value, decoded = None, False
-                    if store is not None and stage.cacheable:
-                        payload = store.load(key)
-                        if payload is not None:
-                            try:
-                                value = stage.decode(payload, ctx, inputs)
-                                decoded = True
-                            except (StoreError, ValueError, KeyError, IndexError):
-                                decoded = False  # treat as a miss and recompute
-                    if decoded:
-                        record.status = "hit"
-                    else:
-                        try:
-                            value = stage.func(ctx, **inputs)
-                        except Exception as exc:
-                            record.status = "error"
-                            record.wall_s = time.perf_counter() - started
-                            record.metrics = metrics.counter_delta(metrics_before)
-                            span.annotate(status="error")
-                            records.append(record)
-                            raise StageError(stage.name, exc, records) from exc
-                        record.status = "ran"
-                        if store is not None and stage.cacheable:
-                            store.save(key, stage.encode(value, ctx, inputs))
-                    span.annotate(status=record.status)
-
-                values[stage.name] = value
-                fingerprints[stage.name] = (
-                    stage.fingerprint(value) if stage.fingerprint else key
-                )
-                record.wall_s = time.perf_counter() - started
-                record.metrics = metrics.counter_delta(metrics_before)
-                if store is not None:
-                    record.store_hits += store.hits - store_h0
-                    record.store_misses += store.misses - store_m0
-                if member_cache is not None:
-                    record.member_hits += member_cache.hits - member_h0
-                    record.member_misses += member_cache.misses - member_m0
-                records.append(record)
-
+                state.plan(stage)
+            state.force(self.stages[-1].name)
         return PipelineResult(
-            outputs=values,
-            records=records,
-            store_stats=store.stats() if store is not None else None,
+            outputs=_LazyValues(state, [stage.name for stage in self.stages]),
+            records=state.records_through(),
+            store_stats=state.store.stats() if state.store else None,
             terminal=self.stages[-1].name,
         )
+
+
+#: sentinel: a stage value not (or not successfully) produced yet
+_MISSING = object()
+
+
+class _LazyValues(Mapping):
+    """Stage values of one run, materialized on first access."""
+
+    def __init__(self, state: "_RunState", names: Sequence[str]):
+        self._state = state
+        self._names = tuple(names)
+
+    def __getitem__(self, name: str) -> Any:
+        if name not in self._names:
+            raise KeyError(name)
+        return self._state.force(name)
+
+    def __iter__(self):
+        return iter(self._names)
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+
+class _RunState:
+    """The records and materialized values of one :meth:`Pipeline.run`.
+
+    :meth:`plan` walks the stages in topological order and derives each
+    key; a stage runs there only if its key contribution needs its value
+    (``fingerprint``) or it is a cacheable stage the store lacks.  Every
+    other stage waits for :meth:`force`, which decodes a store hit (or,
+    if the entry is unreadable, re-runs the stage) and runs a skipped
+    stage, each under its own ``stage:`` span.
+    """
+
+    def __init__(self, pipeline: Pipeline):
+        self.stages = {stage.name: stage for stage in pipeline.stages}
+        self.store = self.member_cache = None
+        if pipeline.store_dir is not None:
+            self.store = ArtifactStore(pipeline.store_dir / "stages")
+            self.member_cache = MemberCache(pipeline.store_dir / "members")
+        self.records: dict[str, StageRecord] = {}
+        self.values: dict[str, Any] = {}
+        self.fingerprints: dict[str, str] = {}
+        # usage of windows nested in each open window (exclusive accounting)
+        self._nested: list[Counter] = []
+
+    def plan(self, stage: Stage) -> None:
+        key = stage.key({i: self.fingerprints[i] for i in stage.inputs})
+        record = StageRecord(
+            name=stage.name, key=key, status="skipped", cacheable=stage.cacheable
+        )
+        self.records[stage.name] = record
+        must_run = stage.fingerprint is not None
+        if stage.cacheable:
+            if self.store is not None and self.store.lookup(key):
+                record.status, record.store_hits = "hit", 1
+            else:
+                record.store_misses = int(self.store is not None)
+                must_run = True  # a cacheable miss runs in this walk
+        value = self.force(stage.name) if must_run else None
+        self.fingerprints[stage.name] = (
+            stage.fingerprint(value) if stage.fingerprint else key
+        )
+
+    def force(self, name: str) -> Any:
+        """The stage's value: memoized, decoded from the store, or run."""
+        if name in self.values:
+            return self.values[name]
+        stage, record = self.stages[name], self.records[name]
+        if record.status != "hit":
+            for upstream in stage.inputs:  # upstream work in its own window
+                self.force(upstream)
+        with self._window(stage, record) as span:
+            value = _MISSING
+            if record.status == "hit":
+                value = self._decode(stage, record)
+                if value is _MISSING:  # unreadable entry: a miss after all
+                    record.store_hits, record.store_misses = 0, 1
+            if value is _MISSING:
+                value = self._call(stage, record, span)
+            span.annotate(status=record.status)
+        self.values[name] = value
+        return value
+
+    def _decode(self, stage: Stage, record: StageRecord) -> Any:
+        payload = self.store.load(record.key)
+        if payload is None:
+            return _MISSING
+        ctx = StageContext(record, self.member_cache)
+        try:
+            return stage.decode(
+                payload, ctx, _LazyValues(self, stage.inputs)
+            )
+        except (StoreError, ValueError, KeyError, IndexError):
+            return _MISSING
+
+    def _call(self, stage: Stage, record: StageRecord, span) -> Any:
+        inputs = {i: self.force(i) for i in stage.inputs}
+        ctx = StageContext(record, self.member_cache)
+        try:
+            value = stage.func(ctx, **inputs)
+        except Exception as exc:
+            record.status = "error"
+            span.annotate(status="error")
+            raise StageError(
+                stage.name, exc, self.records_through(stage.name)
+            ) from exc
+        record.status = "ran"
+        if self.store is not None and stage.cacheable:
+            self.store.save(record.key, stage.encode(value, ctx, inputs))
+        return value
+
+    def records_through(self, last: Optional[str] = None) -> list[StageRecord]:
+        """Planned records in topological order, up to ``last`` inclusive."""
+        out = []
+        for name in self.stages:
+            if name not in self.records:
+                break
+            out.append(self.records[name])
+            if name == last:
+                break
+        return out
+
+    def _usage(self) -> Counter:
+        usage = Counter(
+            {f"metric:{k}": v for k, v in get_metrics().counters().items()}
+        )
+        usage["wall_s"] = time.perf_counter()
+        if self.member_cache is not None:
+            usage["member_hits"] = self.member_cache.hits
+            usage["member_misses"] = self.member_cache.misses
+        return usage
+
+    @contextmanager
+    def _window(self, stage: Stage, record: StageRecord):
+        """One stage's span, wall time and counters, exclusive of the
+        windows of stages it pulls in while open."""
+        span = get_tracer().span(f"stage:{stage.name}", {"key": record.key[:12]})
+        record.span_id = span.span_id
+        before = self._usage()
+        self._nested.append(Counter())
+        try:
+            with span:
+                yield span
+        finally:
+            nested = self._nested.pop()
+            spent = self._usage()
+            spent.subtract(before)
+            if self._nested:
+                self._nested[-1].update(spent)
+            spent.subtract(nested)
+            record.wall_s = spent["wall_s"]
+            record.member_hits += int(spent["member_hits"])
+            record.member_misses += int(spent["member_misses"])
+            record.metrics = {
+                k[len("metric:"):]: v
+                for k, v in spent.items()
+                if k.startswith("metric:") and v
+            }

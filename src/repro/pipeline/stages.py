@@ -19,8 +19,11 @@ Two cache granularities cooperate:
   ``<store>/stages`` under the stage's content-hashed key, so a resumed
   pipeline skips even the cheap recomputation and its records say so.
 
-Rehydration notes: a cache-hit ensemble is rebuilt member-by-member from
-the member cache (bit-identical matrix, merged coverage); a cache-hit
+Rehydration notes: a resumed run materializes a stage hit only when
+something reads it (see :mod:`repro.pipeline.core`), so a fully cached
+run decodes the report alone and touches no member artifact.  When read,
+a cache-hit ensemble is rebuilt member-by-member from the member cache
+(bit-identical matrix, merged coverage); a cache-hit
 :class:`~repro.slicing.RankedSlice` carries its modules / ranking /
 weights but drops the per-variable ``slices`` detail; a cache-hit
 :class:`~repro.refine.RefinementResult` drops the fitted ``communities``
@@ -104,21 +107,17 @@ def _load_cached_runs(
 
 # ------------------------------------------------------------ source stages
 def make_source_stage(name: str, model: ModelConfig) -> Stage:
-    """Build + parse one :class:`ModelSource` (cheap, never cached on disk).
+    """Build one :class:`ModelSource` (cheap, never cached on disk).
 
     The stage fingerprints with the built tree's content digest, so any
     model-source or patch change transitively invalidates every
-    downstream stage key.
+    downstream stage key.  It does not parse: :meth:`ModelSource.parse`
+    memoizes, so the first stage that needs the ASTs pays for them and a
+    fully cached run pays nothing.
     """
-
-    def func(ctx: StageContext) -> ModelSource:
-        source = build_model_source(model)
-        source.parse()
-        return source
-
     return Stage(
         name=name,
-        func=func,
+        func=lambda ctx: build_model_source(model),
         params={"model": model},
         cacheable=False,
         fingerprint=lambda source: source.content_digest(),
@@ -181,9 +180,9 @@ def make_ensemble_stage(
 
     The backend and pool width are *where* knobs, not *what* knobs — every
     backend is bit-identical — so they stay out of the cache key.  The
-    stage payload is the member key list plus the stacked matrix; a hit
-    rehydrates every member from the member cache (raising a store miss,
-    and thus re-running, if any artifact is gone).
+    stage payload is the member key list plus the stacked matrix; reading
+    a hit rehydrates every member from the member cache (raising a store
+    miss, and thus re-running, if any artifact is gone).
     """
 
     def member_keys(source: ModelSource) -> list[str]:

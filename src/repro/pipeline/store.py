@@ -14,10 +14,11 @@ stage adapters can mix structured metadata (module lists, weights,
 refinement steps) with bulk arrays (ensemble matrices, PC scores) in one
 payload.
 
-The store counts ``hits`` / ``misses`` / ``writes``; the pipeline surfaces
-per-stage deltas in its :class:`~repro.pipeline.core.StageRecord` values,
-so resume behavior is observable and testable instead of inferred from
-wall clock.
+The store counts ``hits`` / ``misses`` / ``writes``, plus ``corrupt`` for
+entries that exist but fail to load (each also a miss).  The pipeline
+records per-stage hit/miss outcomes in its
+:class:`~repro.pipeline.core.StageRecord` values, so resume behavior is
+observable and testable instead of inferred from wall clock.
 """
 
 from __future__ import annotations
@@ -116,8 +117,9 @@ class ArtifactStore:
     The same conventions as the ensemble member cache: atomic writes,
     ``allow_pickle=False`` loads, corruption handled as a miss (the stage
     simply re-runs).  ``hits`` / ``misses`` / ``writes`` count every
-    :meth:`load` / :meth:`save` outcome since construction;
-    :meth:`stats` snapshots them for stage records.
+    :meth:`lookup` miss and :meth:`load` / :meth:`save` outcome since
+    construction, ``corrupt`` the loads that found an unreadable entry;
+    :meth:`stats` snapshots the first three.
     """
 
     def __init__(self, directory: str | os.PathLike):
@@ -126,12 +128,24 @@ class ArtifactStore:
         self.hits = 0
         self.misses = 0
         self.writes = 0
+        self.corrupt = 0
 
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.npz"
 
     def __contains__(self, key: str) -> bool:
         return self._path(key).exists()
+
+    def lookup(self, key: str) -> bool:
+        """Whether ``key`` has an entry, without reading it.
+
+        An absent key counts as a miss here; a present one is counted by
+        the :meth:`load` that reads it, if any.
+        """
+        if key in self:
+            return True
+        self._miss()
+        return False
 
     def load(self, key: str) -> Optional[dict[str, np.ndarray]]:
         """The payload stored under ``key``, or None on miss/corruption.
@@ -147,7 +161,7 @@ class ArtifactStore:
             with np.load(path, allow_pickle=False) as data:
                 payload = {name: np.asarray(data[name]) for name in data.files}
         except (OSError, EOFError, zipfile.BadZipFile, ValueError, KeyError):
-            self._miss()
+            self._corrupt()
             return None
         self.hits += 1
         get_metrics().inc("store.hits")
@@ -156,6 +170,11 @@ class ArtifactStore:
     def _miss(self) -> None:
         self.misses += 1
         get_metrics().inc("store.misses")
+
+    def _corrupt(self) -> None:
+        self.corrupt += 1
+        get_metrics().inc("store.corrupt")
+        self._miss()
 
     def save(self, key: str, payload: Mapping[str, np.ndarray]) -> None:
         """Persist ``payload`` under ``key`` (atomic write)."""

@@ -105,3 +105,18 @@ class TestCorruption:
         )
         assert cache.load_artifact(bogus) is None
         assert cache.misses == 1
+
+    def test_truncated_entry_counts_as_corrupt(self, artifact, tmp_path):
+        from repro.obs import get_metrics
+
+        cache = MemberCache(tmp_path)
+        cache.store_artifact(artifact)
+        path = tmp_path / f"{artifact.config_key}.npz"
+        path.write_bytes(path.read_bytes()[:64])
+        before = get_metrics().counters()
+        assert cache.load_artifact(artifact.config_key) is None
+        assert cache.load_artifact("f" * 64) is None  # absent: not corrupt
+        assert (cache.corrupt, cache.misses, cache.hits) == (1, 2, 0)
+        moved = get_metrics().counter_delta(before)
+        assert moved["member_cache.corrupt"] == 1
+        assert moved["member_cache.misses"] == 2

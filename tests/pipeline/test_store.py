@@ -137,3 +137,30 @@ def test_loaded_arrays_survive_store_deletion(tmp_path):
     loaded = store.load("k")
     (tmp_path / "k.npz").unlink()
     np.testing.assert_array_equal(loaded["a"], np.ones(4))
+
+
+def test_truncated_entry_counts_as_corrupt(tmp_path):
+    from repro.obs import get_metrics
+
+    store = ArtifactStore(tmp_path)
+    store.save("k", json_payload({"x": 1}))
+    path = tmp_path / "k.npz"
+    path.write_bytes(path.read_bytes()[:10])
+    before = get_metrics().counters()
+    assert store.load("k") is None
+    assert store.load("absent") is None
+    assert (store.corrupt, store.misses, store.hits) == (1, 2, 0)
+    moved = get_metrics().counter_delta(before)
+    assert moved["store.corrupt"] == 1
+    assert moved["store.misses"] == 2
+
+
+def test_lookup_counts_absent_keys_as_misses(tmp_path):
+    store = ArtifactStore(tmp_path)
+    store.save("k", json_payload({}))
+    assert store.lookup("k")
+    assert not store.lookup("absent")
+    # a present entry is counted by the load that reads it
+    assert (store.hits, store.misses) == (0, 1)
+    assert store.load("k") is not None
+    assert (store.hits, store.misses) == (1, 1)
