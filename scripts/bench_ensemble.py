@@ -10,18 +10,14 @@ Writes ``BENCH_ensemble.json`` (repo root by default) with
   coverage on;
 * ``speedup`` — ``dispatch_s / compiled_s`` (the PR acceptance floor is 2x);
 * ``backends`` — ``members_per_s`` of the same cached-off ensemble
-  generation through every registered execution backend (``serial``,
-  ``process``, ``vectorized``).  On a multi-core machine the process
-  pool (per-worker parsed-source cache) must come out ahead of the
-  single-threaded ``serial`` reference; on a single-core runner the
-  scalar backends are expected to tie within noise.
+  generation through every execution backend (``serial``,
+  ``vectorized``).
 * ``vectorized`` — the member-batched runtime over ``VEC_MEMBERS``
   members, measured member-cache **cold** in two variants plus warm:
   ``kernel_fused`` (the default path: conformant kgen kernels swapped
   into the hot loop), ``interpreted_vec`` (``REPRO_KGEN_FUSION=0``, the
   PR 7 baseline), and ``warm`` (a second pass against a populated member
-  cache, which must re-run zero members).  The effective batch width is
-  recorded under ``batch_size``.  The strict floors are 5x the best
+  cache, which must re-run zero members).  The strict floors are 5x the
   *scalar* backend for the fused number, and fused >= interpreted.
 * ``localization`` — the whole pipeline per registered bug patch, driven
   through :func:`repro.pipeline.root_cause_pipeline` against one shared
@@ -45,20 +41,16 @@ Run from the repo root::
     PYTHONPATH=src python scripts/bench_ensemble.py [output.json] [--strict]
 
 ``--strict`` exits 1 when the compiled-path speedup is below the 2x
-acceptance floor, when (given >1 CPU) the process backend does not beat
-the serial backend, when the vectorized runtime is below 5x the best
-scalar backend, when kernel-fused throughput falls below the
+acceptance floor, when the vectorized runtime is below 5x the scalar
+backend, when kernel-fused throughput falls below the
 interpreted-vec baseline (or the warm pass re-runs any member), when
 any registered patch fails to localize, or when any patch regresses
 against the pre-selection (PR 6) localization baselines — more refined
 modules than ``min(8, baseline)`` or more refinement iterations than the
 baseline took — the
-regression gate CI applies on its newest-Python matrix entry.  Checks a
-runner cannot meaningfully make (the process-vs-serial ordering on a
-single CPU) are skipped, and every skip is recorded with its reason under
-``strict_skips`` in the JSON.  Wall-clock *numbers* stay ungated
-everywhere (shared runners are too noisy); only the speedup ratios, the
-backend ordering and the localization outcome are.
+regression gate CI applies on its newest-Python matrix entry.
+Wall-clock *numbers* stay ungated everywhere (shared runners are too
+noisy); only the speedup ratios and the localization outcome are.
 """
 
 from __future__ import annotations
@@ -145,7 +137,6 @@ def bench_vectorized(source, strict: bool) -> dict:
     cache, then re-run against it) is recorded under ``warm`` with its
     re-run count — which must be zero.
     """
-    from repro.ensemble.backends import VectorizedBackend
     from repro.kgen import kernel_registry_for
 
     spec = EnsembleSpec(n_members=VEC_MEMBERS, nsteps=NSTEPS)
@@ -178,10 +169,8 @@ def bench_vectorized(source, strict: bool) -> dict:
         )
         warm = bench_backend(spec, source, "vectorized", cache_dir=cache_dir)
 
-    batch = VectorizedBackend().effective_batch_size()
     return {
         "members": VEC_MEMBERS,
-        "batch_size": batch if batch is not None else "auto",
         "kernels": len(registry),
         "kernel_fused": fused,
         "interpreted_vec": interpreted,
@@ -309,18 +298,6 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="bench-localize-") as store_dir:
         localization, pipeline = bench_localization(store_dir)
 
-    multi_core = (os.cpu_count() or 1) > 1
-    strict_skips: list[dict] = []
-    if not multi_core:
-        strict_skips.append(
-            {
-                "check": "process_beats_serial",
-                "reason": "single-CPU runner: the process pool cannot be "
-                "expected to beat the serial backend without a second "
-                "core",
-            }
-        )
-
     payload = {
         "benchmark": "repro-ensemble-interpreter",
         "nsteps": NSTEPS,
@@ -336,7 +313,6 @@ def main() -> int:
         "vectorized": vec,
         "localization": localization,
         "pipeline": pipeline,
-        "strict_skips": strict_skips,
         "cpus": os.cpu_count(),
         "python": platform.python_version(),
         "machine": platform.machine(),
@@ -358,26 +334,6 @@ def main() -> int:
             file=sys.stderr,
         )
         failed = True
-    if (
-        "process" in backends
-        and "serial" in backends
-        and backends["process"]["members_per_s"]
-        <= backends["serial"]["members_per_s"]
-    ):
-        print(
-            "WARNING: process backend "
-            f"({backends['process']['members_per_s']} members/s) did not "
-            f"beat serial backend "
-            f"({backends['serial']['members_per_s']} members/s)"
-            + (
-                ""
-                if multi_core
-                else " — check skipped on this single-CPU machine "
-                "(see strict_skips)"
-            ),
-            file=sys.stderr,
-        )
-        failed = failed or multi_core
     if vec["speedup_vs_best_scalar"] < VEC_SPEEDUP_FLOOR:
         print(
             f"WARNING: vectorized backend ({vec['members_per_s']} "

@@ -69,7 +69,6 @@ _LAZY_EXPORTS: dict[str, tuple[str, str]] = {
     "CoverageReport": ("repro.coverage", "CoverageReport"),
     # ensemble / ECT / selection
     "Ensemble": ("repro.ensemble", "Ensemble"),
-    "EnsembleGenerator": ("repro.ensemble", "EnsembleGenerator"),
     "EnsembleSpec": ("repro.ensemble", "EnsembleSpec"),
     "ExecutionBackend": ("repro.ensemble", "ExecutionBackend"),
     "RunArtifact": ("repro.ensemble", "RunArtifact"),

@@ -64,18 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--backend",
             default=None,
             help="execution backend for member fan-outs "
-            "(vectorized/serial/process; default: vectorized)",
-        )
-        p.add_argument(
-            "--max-workers", type=int, default=None, help="pool width"
-        )
-        p.add_argument(
-            "--vec-batch",
-            default=None,
-            metavar="N",
-            help="batch-width bound for the vectorized backend (sets "
-            "REPRO_VEC_BATCH for this process; bit-identical at any "
-            "width, it only trades memory against fusion)",
+            "(vectorized/serial; default: vectorized)",
         )
         p.add_argument(
             "--members", type=int, default=None, help="override ensemble size"
@@ -262,43 +251,22 @@ EX_USAGE = 2
 
 
 def _validate_names(args) -> Optional[str]:
-    """Resolve the experiment, backend and batch-size knobs up front; the
-    error message (naming every known candidate) on a bad one, else None."""
+    """Resolve the experiment and its backend (``--backend``, the
+    experiment's own, else ``REPRO_ENSEMBLE_BACKEND``) up front; the error
+    message (naming every known candidate) on a bad one, else None."""
     from .ensemble.backends import (
-        InvalidBatchSizeError,
         UnknownBackendError,
         get_backend,
-        validate_batch_size,
+        resolve_backend_name,
     )
     from .experiments import UnknownExperimentError
 
     try:
-        _resolve_experiment(args)
-        if args.backend is not None:
-            get_backend(args.backend, max_workers=args.max_workers)
-        if getattr(args, "vec_batch", None) is not None:
-            validate_batch_size(args.vec_batch, "--vec-batch")
-    except (
-        UnknownExperimentError,
-        UnknownBackendError,
-        InvalidBatchSizeError,
-    ) as exc:
+        spec = _resolve_experiment(args)
+        get_backend(resolve_backend_name(args.backend, spec.backend))
+    except (UnknownExperimentError, UnknownBackendError) as exc:
         return str(exc)
     return None
-
-
-def _apply_vec_batch(args) -> None:
-    """Export a validated ``--vec-batch`` as ``REPRO_VEC_BATCH`` so every
-    vectorized pass in this process picks the width up at run time."""
-    if getattr(args, "vec_batch", None) is None:
-        return
-    import os
-
-    from .ensemble.backends import VEC_BATCH_ENV_VAR, validate_batch_size
-
-    os.environ[VEC_BATCH_ENV_VAR] = str(
-        validate_batch_size(args.vec_batch, "--vec-batch")
-    )
 
 
 def _cmd_run(args, out) -> int:
@@ -309,7 +277,6 @@ def _cmd_run(args, out) -> int:
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
         return EX_USAGE
-    _apply_vec_batch(args)
     tracing = bool(args.trace or args.profile)
     metrics_before = get_metrics().counters()
     spans = []
@@ -320,7 +287,6 @@ def _cmd_run(args, out) -> int:
             _resolve_experiment(args),
             store_dir=args.store,
             backend=args.backend,
-            max_workers=args.max_workers,
         ).run()
     finally:
         if tracing:
@@ -357,7 +323,6 @@ def _cmd_sweep(args, out) -> int:
         if error is not None:
             print(f"error: {error}", file=sys.stderr)
             return EX_USAGE
-    _apply_vec_batch(args)
     tracing = bool(args.trace or args.profile)
     documents, failures = {}, []
     try:
@@ -371,7 +336,6 @@ def _cmd_sweep(args, out) -> int:
                     _resolve_experiment(sweep_args),
                     store_dir=args.store,
                     backend=args.backend,
-                    max_workers=args.max_workers,
                 ).run()
             finally:
                 if tracing:

@@ -5,16 +5,16 @@ set of N model runs that differ only in accepted ways (tiny
 initial-temperature perturbations and independent PRNG seeds) defines the
 distribution a change must stay inside to count as "the same climate".
 :class:`EnsembleSpec` derives the N member configs deterministically from
-one base seed, :func:`generate_ensemble` fans them out through a pluggable
-execution backend (``vectorized`` / ``serial`` / ``process`` — see
+one base seed, :func:`generate_ensemble` fans them out through an
+execution backend (``vectorized`` / ``serial`` — see
 :mod:`repro.ensemble.backends`) sharing one parsed
 :class:`~repro.model.builder.ModelSource`, with an optional
 content-addressed :class:`RunArtifact` disk cache making re-runs
 incremental (coverage included), and the resulting :class:`Ensemble`
 holds the member matrix plus merged coverage for the ECT / slicing
-stages.  All backends are bit-identical; ``vectorized`` (the default)
-batches every member into one interpreter pass, ``process`` spreads
-scalar members over cores.
+stages.  Both backends are bit-identical; ``vectorized`` (the default)
+batches every member into one interpreter pass, ``serial`` is the
+scalar reference.
 
 Quickstart — does the ``cldfrc-premib`` bug patch change the climate?
 
@@ -39,27 +39,21 @@ from __future__ import annotations
 from .artifact import RunArtifact
 from .backends import (
     ExecutionBackend,
-    InvalidBatchSizeError,
-    ProcessBackend,
     SerialBackend,
     UnknownBackendError,
     VectorizedBackend,
     get_backend,
     list_backends,
-    register_backend,
 )
 from .cache import MemberCache, member_cache_key
-from .generate import Ensemble, EnsembleGenerator, generate_ensemble, run_vector
+from .generate import Ensemble, generate_ensemble, run_vector
 from .spec import EnsembleSpec
 
 __all__ = [
     "Ensemble",
-    "EnsembleGenerator",
     "EnsembleSpec",
     "ExecutionBackend",
-    "InvalidBatchSizeError",
     "MemberCache",
-    "ProcessBackend",
     "RunArtifact",
     "SerialBackend",
     "UnknownBackendError",
@@ -68,6 +62,5 @@ __all__ = [
     "get_backend",
     "list_backends",
     "member_cache_key",
-    "register_backend",
     "run_vector",
 ]

@@ -4,11 +4,11 @@
 into N member runs.  It is a *coordinator*: member configs are derived from
 the spec, members already present in the content-addressed artifact cache
 are loaded (coverage included — a cache hit preserves the member's
-:class:`CoverageTrace`), and the remaining misses are fanned out through a
-pluggable :class:`~repro.ensemble.backends.ExecutionBackend`
-(``vectorized`` by default, one member-batched interpreter pass;
-``serial``, the reference; or ``process``, the multi-core pool).  Every backend produces bit-identical
-members, so the backend choice never changes the science.
+:class:`CoverageTrace`), and the remaining misses are fanned out through an
+:class:`~repro.ensemble.backends.ExecutionBackend`
+(``vectorized`` by default, one member-batched interpreter pass; or
+``serial``, the reference).  Both backends produce bit-identical members,
+so the backend choice never changes the science.
 
 The collected :class:`Ensemble` is the statistical object the ECT layer
 consumes: a ``(n_members, n_variables)`` matrix of global-mean output
@@ -36,7 +36,7 @@ from .backends import ExecutionBackend, get_backend
 from .cache import MemberCache, member_cache_key
 from .spec import EnsembleSpec
 
-__all__ = ["Ensemble", "EnsembleGenerator", "generate_ensemble"]
+__all__ = ["Ensemble", "generate_ensemble"]
 
 #: suffix marking the end-of-first-step snapshot half of the vector
 FIRST_SUFFIX = "@first"
@@ -115,7 +115,6 @@ def generate_ensemble(
     source: Optional[ModelSource] = None,
     cache_dir: Optional[str | os.PathLike] = None,
     backend: "ExecutionBackend | str | None" = None,
-    max_workers: Optional[int] = None,
     progress: Optional[Callable[[int, int], None]] = None,
 ) -> Ensemble:
     """Run (or load) every member of ``spec`` and stack the result matrix.
@@ -130,20 +129,18 @@ def generate_ensemble(
         (``generate_ensemble(n=30)``).
     source:
         An already-built :class:`ModelSource` matching ``spec.model``; built
-        once here when omitted and shared (with its parse cache) by the
-        backend's workers.
+        once here when omitted and shared (with its parse cache) by every
+        member.
     cache_dir:
         Directory of the content-addressed member artifact cache.  Omit to
         disable caching.  Cached members keep their coverage: incremental
         re-runs never drop or recompute a member's trace.
     backend:
-        Execution backend for the cache-miss fan-out: a registered name
-        (``"vectorized"``, ``"serial"``, ``"process"``) or a pre-configured
-        :class:`ExecutionBackend` instance.  ``None`` falls back to
-        ``spec.backend``, then the ``REPRO_ENSEMBLE_BACKEND`` environment
-        variable, then ``"vectorized"``.  All backends are bit-identical.
-    max_workers:
-        Pool width for pool-based backends (default: backend-specific).
+        Execution backend for the cache-miss fan-out: a backend name
+        (``"vectorized"`` or ``"serial"``) or an :class:`ExecutionBackend`
+        instance.  ``None`` falls back to ``spec.backend``, then the
+        ``REPRO_ENSEMBLE_BACKEND`` environment variable, then
+        ``"vectorized"``.  Both backends are bit-identical.
     progress:
         Optional ``callback(done, total)`` invoked as members complete
         (cache hits included).
@@ -158,22 +155,11 @@ def generate_ensemble(
             "the provided ModelSource was built from a different ModelConfig "
             "than spec.model"
         )
-    source.parse()  # warm the shared AST cache once, outside any pool
+    source.parse()  # warm the shared AST cache once
 
     exec_backend = get_backend(
-        backend if backend is not None else spec.backend,
-        max_workers=max_workers,
+        backend if backend is not None else spec.backend
     )
-    if spec.vec_batch is not None:
-        from .backends import VectorizedBackend
-
-        if (
-            isinstance(exec_backend, VectorizedBackend)
-            and exec_backend.batch_size is None
-        ):
-            # the spec's *where* knob configures the backend unless the
-            # caller already pinned a width on the instance
-            exec_backend = VectorizedBackend(batch_size=spec.vec_batch)
     cache = MemberCache(cache_dir) if cache_dir is not None else None
     configs = spec.member_configs()
     total = len(configs)
@@ -189,7 +175,7 @@ def generate_ensemble(
     metrics = get_metrics()
     with get_tracer().span(
         "ensemble.generate",
-        lambda: {"members": total, "backend": exec_backend.describe(),
+        lambda: {"members": total, "backend": exec_backend.name,
                  "cached": cache is not None},
     ) as gen_span:
         # phase 1: satisfy what the artifact cache already holds
@@ -218,7 +204,7 @@ def generate_ensemble(
 
     if any(a is None for a in artifacts):  # pragma: no cover - defensive
         raise RuntimeError(
-            f"backend {exec_backend.describe()} lost ensemble members"
+            f"backend {exec_backend.name} lost ensemble members"
         )
     members: list[RunResult] = [
         artifact.to_result(config)
@@ -230,7 +216,7 @@ def generate_ensemble(
     coverage = CoverageTrace().merged(*(r.coverage for r in members))
     sd = matrix.std(axis=0, ddof=1)
     stats = {
-        "backend": exec_backend.describe(),
+        "backend": exec_backend.name,
         "statements_per_member": [r.statements_executed for r in members],
         "invariant_variables": [
             names[j] for j in range(len(names)) if sd[j] == 0.0
@@ -246,61 +232,3 @@ def generate_ensemble(
         cache_misses=cache.misses if cache is not None else 0,
         stats=stats,
     )
-
-
-class EnsembleGenerator:
-    """OO facade over :func:`generate_ensemble` for repeated generation.
-
-    Holds the shared :class:`ModelSource`, the backend selection and the
-    cache directory so successive calls (e.g. an accepted ensemble plus
-    batches of experimental runs in the same process) reuse the parse
-    cache and the disk cache.
-    """
-
-    def __init__(
-        self,
-        spec: Optional[EnsembleSpec] = None,
-        cache_dir: Optional[str | os.PathLike] = None,
-        backend: "ExecutionBackend | str | None" = None,
-        max_workers: Optional[int] = None,
-    ):
-        self.spec = spec or EnsembleSpec()
-        self.cache_dir = cache_dir
-        self.backend = backend
-        self.max_workers = max_workers
-        self._source = build_model_source(self.spec.model)
-
-    @property
-    def source(self) -> ModelSource:
-        return self._source
-
-    def generate(self, n: Optional[int] = None) -> Ensemble:
-        """Generate (or incrementally load) the accepted ensemble."""
-        return generate_ensemble(
-            self.spec,
-            n=n,
-            source=self._source,
-            cache_dir=self.cache_dir,
-            backend=self.backend,
-            max_workers=self.max_workers,
-        )
-
-    def experimental_runs(
-        self,
-        count: int = 3,
-        model=None,
-        fp=None,
-    ) -> list[RunResult]:
-        """``count`` experimental runs with held-out seeds (see spec)."""
-        from ..runtime import run_model
-
-        runs = []
-        for i in range(count):
-            config = self.spec.experimental_config(i, model=model, fp=fp)
-            exp_source = (
-                self._source
-                if config.model == self.spec.model
-                else build_model_source(config.model)
-            )
-            runs.append(run_model(config, source=exp_source))
-        return runs

@@ -38,7 +38,6 @@ __all__ = [
     "FortranFrontEndError",
     "FortranRuntimeError",
     "InfeasibleSelectionError",
-    "InvalidBatchSizeError",
     "KernelError",
     "PatchError",
     "PipelineError",
@@ -75,7 +74,6 @@ _ERROR_EXPORTS: dict[str, tuple[str, str]] = {
     "UnknownPatchError": ("repro.model.patches", "UnknownPatchError"),
     "UnknownExperimentError": ("repro.experiments", "UnknownExperimentError"),
     "UnknownBackendError": ("repro.ensemble.backends", "UnknownBackendError"),
-    "InvalidBatchSizeError": ("repro.ensemble.backends", "InvalidBatchSizeError"),
     "StoreError": ("repro.pipeline.store", "StoreError"),
     "PipelineError": ("repro.pipeline.core", "PipelineError"),
     "StageError": ("repro.pipeline.core", "StageError"),

@@ -187,16 +187,12 @@ def run_experiment(
     *,
     store_dir=None,
     backend=None,
-    max_workers: Optional[int] = None,
 ) -> "PipelineResult":
     """Compile and run (or resume) one experiment's pipeline."""
     from ..pipeline import RootCauseAnalysis
 
     return RootCauseAnalysis(
-        experiment,
-        store_dir=store_dir,
-        backend=backend,
-        max_workers=max_workers,
+        experiment, store_dir=store_dir, backend=backend
     ).run()
 
 
@@ -205,7 +201,6 @@ def run_sweep(
     *,
     store_dir=None,
     backend=None,
-    max_workers: Optional[int] = None,
 ) -> "dict[str, PipelineResult]":
     """Run several experiments against one shared store.
 
@@ -221,9 +216,6 @@ def run_sweep(
     results: dict[str, "PipelineResult"] = {}
     for spec in specs:
         results[spec.name] = run_experiment(
-            spec,
-            store_dir=store_dir,
-            backend=backend,
-            max_workers=max_workers,
+            spec, store_dir=store_dir, backend=backend
         )
     return results

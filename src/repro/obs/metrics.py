@@ -16,9 +16,7 @@ dotted namespace:
 
 Metrics are always on: increments are lock-guarded dict ops, far below
 noise on any instrumented path, so there is no enable/disable knob to
-get wrong.  Counters in process-backend *workers* land in the worker's
-registry and are not shipped back — fan-out volume is still accounted
-in the parent via the ``ensemble.*`` counters.
+get wrong.
 
 The snapshot/delta pair turns the registry into per-region telemetry:
 ``before = m.snapshot()`` ... ``m.counter_delta(before)`` yields only

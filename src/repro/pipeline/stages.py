@@ -174,12 +174,11 @@ def make_ensemble_stage(
     name: str = "control_ensemble",
     source_input: str = "control_source",
     backend=None,
-    max_workers: Optional[int] = None,
 ) -> Stage:
-    """The accepted-ensemble stage over the pluggable backend registry.
+    """The accepted-ensemble stage over the execution backends.
 
-    The backend and pool width are *where* knobs, not *what* knobs — every
-    backend is bit-identical — so they stay out of the cache key.  The
+    The backend is a *how* knob, not a *what* knob — both backends are
+    bit-identical — so it stays out of the cache key.  The
     stage payload is the member key list plus the stacked matrix; reading
     a hit rehydrates every member from the member cache (raising a store
     miss, and thus re-running, if any artifact is gone).
@@ -197,7 +196,6 @@ def make_ensemble_stage(
             source=inputs[source_input],
             cache_dir=ctx.member_cache_dir,
             backend=backend,
-            max_workers=max_workers,
         )
         ctx.count_members(ensemble.cache_hits, ensemble.cache_misses)
         ctx.annotate(
@@ -545,7 +543,6 @@ def make_refine_stage(
     refine: Optional[RefinementConfig] = None,
     *,
     backend=None,
-    max_workers: Optional[int] = None,
 ) -> Stage:
     """Algorithm 5.4 community-guided refinement of the ranked slice."""
     refine_config = refine or RefinementConfig()
@@ -572,7 +569,6 @@ def make_refine_stage(
             communities=communities,
             backend=backend,
             cache_dir=ctx.member_cache_dir,
-            max_workers=max_workers,
             selection=selection,
         )
         ctx.count_members(
@@ -732,13 +728,12 @@ def root_cause_pipeline(
     *,
     store_dir=None,
     backend=None,
-    max_workers: Optional[int] = None,
 ) -> Pipeline:
     """Compile one experiment into the full root-cause DAG.
 
-    ``backend`` / ``max_workers`` choose *where* members run (falling back
-    to the experiment's own backend field) and never enter cache keys:
-    all backends are bit-identical, so artifacts are shared across them.
+    ``backend`` chooses how members run (falling back to the experiment's
+    own backend field) and never enters cache keys: both backends are
+    bit-identical, so artifacts are shared across them.
     """
     spec = experiment.ensemble_spec()
     exp_model = experiment.experimental_model()
@@ -749,9 +744,7 @@ def root_cause_pipeline(
         make_source_stage("control_source", spec.model),
         make_metagraph_stage(),
         make_communities_stage(),
-        make_ensemble_stage(
-            spec, backend=backend, max_workers=max_workers
-        ),
+        make_ensemble_stage(spec, backend=backend),
     ]
     if exp_model == spec.model:
         source_input = "control_source"
@@ -770,9 +763,7 @@ def root_cause_pipeline(
         make_ect_stage(experiment.ect),
         make_slice_stage(),
         make_selection_stage(getattr(experiment, "selection", None)),
-        make_refine_stage(
-            experiment.refine, backend=backend, max_workers=max_workers
-        ),
+        make_refine_stage(experiment.refine, backend=backend),
         make_report_stage(
             experiment.name,
             experiment.patch,
@@ -788,7 +779,6 @@ def accepted_ensemble(
     *,
     store_dir=None,
     backend=None,
-    max_workers: Optional[int] = None,
 ) -> Ensemble:
     """Generate (or resume from the store) one accepted ensemble.
 
@@ -801,9 +791,7 @@ def accepted_ensemble(
     pipeline = Pipeline(
         [
             make_source_stage("control_source", spec.model),
-            make_ensemble_stage(
-                spec, backend=backend, max_workers=max_workers
-            ),
+            make_ensemble_stage(spec, backend=backend),
         ],
         store_dir=store_dir,
     )
@@ -831,7 +819,6 @@ class RootCauseAnalysis:
         *,
         store_dir=None,
         backend=None,
-        max_workers: Optional[int] = None,
     ):
         if isinstance(experiment, str):
             from ..experiments import get_experiment
@@ -839,10 +826,7 @@ class RootCauseAnalysis:
             experiment = get_experiment(experiment)
         self.experiment = experiment
         self.pipeline = root_cause_pipeline(
-            experiment,
-            store_dir=store_dir,
-            backend=backend,
-            max_workers=max_workers,
+            experiment, store_dir=store_dir, backend=backend
         )
 
     def run(self) -> PipelineResult:

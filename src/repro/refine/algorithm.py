@@ -67,7 +67,7 @@ class RefinementConfig:
 
     #: refinement-ensemble size: a deterministic prefix of the accepted
     #: ensemble's members (16 is the smallest that still detects every
-    #: registered patch), regenerated through the backend registry
+    #: registered patch), regenerated through the execution backend
     members: int = 16
     #: stop pruning once the suspect set is at most this fraction of all
     #: graph modules (0.25 of 40 modules = the paper-scale 10-module bar)
@@ -193,7 +193,7 @@ class IterativeRefinement:
 
     Construction builds (or accepts) the control metagraph, its quotient
     communities, and the small refinement ensemble — regenerated through
-    the pluggable backend registry, with ``cache_dir`` giving the
+    the execution backend, with ``cache_dir`` giving the
     per-iteration artifact caching that makes repeated refinement cheap
     (the refinement members are a deterministic prefix of the accepted
     ensemble's, so a shared cache directory satisfies them instantly).
@@ -212,7 +212,6 @@ class IterativeRefinement:
         communities: Optional[CommunityResult] = None,
         backend=None,
         cache_dir=None,
-        max_workers: Optional[int] = None,
     ):
         self.config = config or RefinementConfig()
         self.accepted = ensemble
@@ -222,12 +221,9 @@ class IterativeRefinement:
             source = build_model_source(ensemble.spec.model)
         self.source = source
         self.graph = graph if graph is not None else build_metagraph(source)
-        self.quotient = quotient_graph(self.graph)
-        self.communities = (
-            communities
-            if communities is not None
-            else girvan_newman_communities(self.quotient)
-        )
+        if communities is None:
+            communities = girvan_newman_communities(quotient_graph(self.graph))
+        self.communities = communities
         spec = dataclasses.replace(
             ensemble.spec, n_members=self.config.members
         )
@@ -237,7 +233,6 @@ class IterativeRefinement:
             source=source,
             backend=backend,
             cache_dir=cache_dir,
-            max_workers=max_workers,
         )
         self._ect_cache: dict[frozenset[str], Optional[UltraFastECT]] = {}
 
@@ -559,7 +554,6 @@ def refine_slice(
     communities: Optional[CommunityResult] = None,
     backend=None,
     cache_dir=None,
-    max_workers: Optional[int] = None,
     selection=None,
 ) -> RefinementResult:
     """One-shot Algorithm 5.4: fit :class:`IterativeRefinement` and refine.
@@ -569,7 +563,7 @@ def refine_slice(
     refinement ensemble), ``runs`` the ECT-failing experimental runs,
     ``coverage`` the failing configuration's executed-line evidence.
     ``backend`` / ``cache_dir`` flow into the refinement-ensemble
-    regeneration through the standard backend registry and artifact cache.
+    regeneration through the execution backend and artifact cache.
     ``selection`` (a :class:`~repro.selection.SelectionResult`) warm-starts
     the loop from the set-cover optimum — see
     :meth:`IterativeRefinement.refine`.
@@ -582,6 +576,5 @@ def refine_slice(
         communities=communities,
         backend=backend,
         cache_dir=cache_dir,
-        max_workers=max_workers,
     )
     return refiner.refine(slice_, runs, coverage=coverage, selection=selection)

@@ -96,15 +96,13 @@ def test_resume_after_crash_at_stage(kill_at, tmp_path, uninterrupted):
     assert report_fingerprint(resumed) == report_fingerprint(uninterrupted)
 
 
-@pytest.mark.parametrize("backend", ["serial", "vectorized", "process"])
+@pytest.mark.parametrize("backend", ["serial", "vectorized"])
 def test_resume_bit_identical_across_backends(
     backend, tmp_path, uninterrupted
 ):
     """Crash mid-pipeline, resume on ``backend``: same bits as serial."""
     store = tmp_path / "store"
-    healthy = root_cause_pipeline(
-        EXPERIMENT, store_dir=store, backend=backend, max_workers=2
-    )
+    healthy = root_cause_pipeline(EXPERIMENT, store_dir=store, backend=backend)
     with pytest.raises(StageError):
         killed_pipeline(healthy, "ect").run()
 

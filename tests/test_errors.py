@@ -79,12 +79,22 @@ class TestCliExitCodes:
         [
             (["run", "warpdrive"], "warpdrive"),
             (["run", "wsubbug", "--backend", "quantum"], "quantum"),
-            # "thread" is not a backend: the error names the ones that are
+            # "thread" and "process" are not backends: the error names the
+            # ones that are
             (["run", "wsubbug", "--backend", "thread"], "vectorized"),
-            (["run", "wsubbug", "--vec-batch", "0"], "--vec-batch"),
+            (["run", "wsubbug", "--backend", "process"], "vectorized"),
+            # leading NAME=value items set the environment, as in a shell
+            (["REPRO_ENSEMBLE_BACKEND=process", "run", "wsubbug"], "process"),
+            (["REPRO_ENSEMBLE_BACKEND=serail", "run", "wsubbug"], "serail"),
         ],
     )
-    def test_usage_errors_exit_2(self, argv, fragment, tmp_path, capsys):
+    def test_usage_errors_exit_2(
+        self, argv, fragment, tmp_path, capsys, monkeypatch
+    ):
+        argv = list(argv)
+        while "=" in argv[0]:
+            name, value = argv.pop(0).split("=", 1)
+            monkeypatch.setenv(name, value)
         code, text = self.invoke(argv + ["--store", str(tmp_path)])
         assert code == 2
         assert text == ""
@@ -96,6 +106,8 @@ class TestCliExitCodes:
         for argv in (
             ["sweep", "--fused"],
             ["run", "wsubbug", "--solver", "branch-and-bound"],
+            ["run", "wsubbug", "--max-workers", "2"],
+            ["run", "wsubbug", "--vec-batch", "4"],
         ):
             with pytest.raises(SystemExit) as exc:
                 self.invoke(argv + ["--store", str(tmp_path)])
