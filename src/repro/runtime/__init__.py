@@ -1,9 +1,12 @@
 """Numerical runtime for the synthetic model: interpret, perturb, instrument.
 
 This package executes the model the rest of the pipeline analyses statically:
-an AST-walking interpreter (:mod:`repro.runtime.interpreter`) runs over the
-*same* cached ASTs that :meth:`repro.model.builder.ModelSource.parse` shares
-with the metagraph builder, so numbers and digraph always describe one build.
+the interpreter (:mod:`repro.runtime.interpreter`) runs over the *same*
+cached ASTs that :meth:`repro.model.builder.ModelSource.parse` shares with
+the metagraph builder, so numbers and digraph always describe one build.
+Its scalar engine executes Python generated once per subprogram of a build
+(:mod:`repro.runtime.codegen`); ``Interpreter(compile=False)`` walks the
+AST instead and is the reference the generated code matches bit for bit.
 The stable entry point is :func:`run_model`; downstream modules
 (``repro.ensemble``, ``repro.ect``, ``repro.coverage``, ``repro.slicing``)
 consume only :class:`RunResult` and never touch evaluator internals.
@@ -252,17 +255,25 @@ def run_model(
             "than config.model"
         )
     asts = source.parse()
+    from ..obs import get_metrics, get_tracer
 
-    interp = Interpreter(
-        asts,
-        fp=config.fp,
-        seed=config.seed,
-        collect_coverage=config.collect_coverage,
-        max_statements=config.max_statements,
-    )
-    interp.call("cam_comp", "cam_init", [float(config.pertlim), int(config.seed)])
-    for _ in range(config.nsteps):
-        interp.call("cam_comp", "cam_run_step", [])
+    with get_tracer().span(
+        "runtime.run",
+        lambda: {"nsteps": config.nsteps, "coverage": config.collect_coverage},
+    ) as span:
+        interp = Interpreter(
+            asts,
+            fp=config.fp,
+            seed=config.seed,
+            collect_coverage=config.collect_coverage,
+            max_statements=config.max_statements,
+        )
+        interp.call(
+            "cam_comp", "cam_init", [float(config.pertlim), int(config.seed)]
+        )
+        for _ in range(config.nsteps):
+            interp.call("cam_comp", "cam_run_step", [])
+        span.annotate(statements=interp.statements_executed)
 
     declared = [f.name for f in iter_output_fields(source.compset)]
     missing = [name for name in declared if name not in interp.history.fields]
@@ -282,8 +293,6 @@ def run_model(
         first_outputs[name] = np.asarray(interp.history.first[name])
 
     coverage = interp.coverage if interp.coverage is not None else CoverageTrace()
-    from ..obs import get_metrics
-
     metrics = get_metrics()
     metrics.inc("interpreter.runs")
     metrics.inc("interpreter.statements", interp.statements_executed)

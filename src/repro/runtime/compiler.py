@@ -1,11 +1,7 @@
-"""Per-AST-node closure compilation for the numerical interpreter.
+"""Per-AST-node closure compilation: the base of the vectorized engine.
 
-The AST-walking evaluator in :mod:`repro.runtime.interpreter` pays a type
-dispatch, an operator-string compare and a full scope-chain walk for *every*
-node visit; one model step visits ~355k expression nodes, so the dispatch
-overhead dominates the run time.  :class:`NodeCompiler` removes it by
-memoizing a compiled closure per AST node: the first visit of a node builds a
-small closure specialised on
+:class:`NodeCompiler` memoizes a closure per AST node: the first visit of a
+node builds a small closure specialised on
 
 * the node type and operator (no dispatch or string compares afterwards),
 * the floating-point configuration (plain ``+``/``-``/``*`` when neither
@@ -15,12 +11,16 @@ small closure specialised on
 * the non-local scope owning a variable (locals are still checked first on
   every access, so dynamic shadowing keeps its interpreted semantics).
 
+It serves only :class:`~repro.runtime.vec.VecNodeCompiler`, whose closures
+carry member masks through control flow and stores.  The scalar engine
+(and the ensemble benchmark's ``compiled`` row) executes generated Python
+per subprogram instead (:mod:`repro.runtime.codegen`).
+
 Caches are keyed by ``id(node)`` and pin the node object, so entries stay
 valid for the lifetime of the interpreter.  Compilation is *behavioural*
 memoization only — evaluation order, coercions, error types and messages,
 statement accounting and coverage counts are identical to the dispatch
-interpreter (``Interpreter(..., compile=False)``), which the conformance
-suite checks bit-for-bit and the ensemble benchmark uses as its baseline.
+interpreter (``Interpreter(..., compile=False)``).
 """
 
 from __future__ import annotations

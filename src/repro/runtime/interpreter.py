@@ -1,9 +1,12 @@
-"""AST-walking numerical interpreter for the Fortran-subset model.
+"""Numerical interpreter for the Fortran-subset model.
 
 This is the runtime half of the paper's pipeline: it executes the *same*
 cached ASTs that :meth:`repro.model.builder.ModelSource.parse` hands to the
 metagraph builder, so the digraph and the numbers always describe the same
-build.  The interpreter provides
+build.  ``Interpreter(compile=True)`` (the default) runs each subprogram as
+Python generated from its AST (:mod:`repro.runtime.codegen`);
+``compile=False`` walks the AST and is the reference semantics.  The
+interpreter provides
 
 * module storage with use-association (including renames) and lazily
   initialised module variables/parameters;
@@ -31,7 +34,7 @@ producing silently wrong physics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -93,6 +96,9 @@ from .values import (
     _Return,
     fortran_slices,
 )
+
+if TYPE_CHECKING:
+    from .codegen import GeneratedEngine
 
 __all__ = [
     "History",
@@ -259,15 +265,26 @@ class Interpreter:
             UnparsedStmt: self._exec_unparsed,
         }
 
-        #: per-AST-node memoized evaluators (None => pure dispatch walking,
-        #: the reference semantics the compiled path must match bit-for-bit)
+        #: per-AST-node memoized closures of the vectorized subclass (None
+        #: => dispatch walking for expressions and fallback statements)
         self._compiler: Optional[NodeCompiler] = (
-            self._compiler_factory(self) if compile else None
+            self._compiler_factory(self)
+            if compile and self._compiler_factory is not None
+            else None
         )
+        #: the scalar engine: generated Python per subprogram (None =>
+        #: the dispatch walker, the reference semantics it must match
+        #: bit for bit); imported here so a process that runs no model
+        #: never loads the generator
+        self._codegen: Optional["GeneratedEngine"] = None
+        if compile and self._compiler is None:
+            from .codegen import GeneratedEngine
 
-    #: the closure compiler this interpreter builds when ``compile=True``;
-    #: subclasses (the vectorized runtime) swap in their own
-    _compiler_factory = NodeCompiler
+            self._codegen = GeneratedEngine(self, asts)
+
+    #: the closure compiler a subclass builds when ``compile=True`` (the
+    #: vectorized runtime); the scalar interpreter generates code instead
+    _compiler_factory: Optional[type[NodeCompiler]] = None
 
     # ------------------------------------------------------------------ API
     @classmethod
@@ -619,6 +636,18 @@ class Interpreter:
         writebacks: list[tuple[Ref, str]],
         want_result: Optional[bool] = None,
     ):
+        if self._codegen is not None:
+            self._codegen.enter(sub, frame)
+        else:
+            self._enter(sub, frame)
+        for ref, dummy in writebacks:
+            self._coerce_store(ref, frame.scope.get(dummy))
+        if sub.is_function and (want_result is None or want_result):
+            return frame.scope.get(sub.result)
+        return None
+
+    def _enter(self, sub: Subprogram, frame: Frame) -> None:
+        """Declare ``sub``'s locals in ``frame`` and walk its body."""
         for decl in sub.declarations:
             if isinstance(decl, Declaration):
                 self._declare(frame, decl)
@@ -630,11 +659,6 @@ class Interpreter:
             self.exec_body(sub.body, frame)
         except _Return:
             pass
-        for ref, dummy in writebacks:
-            self._coerce_store(ref, frame.scope.get(dummy))
-        if sub.is_function and (want_result is None or want_result):
-            return frame.scope.get(sub.result)
-        return None
 
     def _index_use_frame(self, frame: Frame, use: UseStmt) -> None:
         """Subprogram-level ``use``: alias the used names into the frame.

@@ -93,6 +93,43 @@ class TestTracedRun:
         assert roots[0].attrs["experiment"] == "wsubbug"
         assert "python" in roots[0].attrs
 
+    def test_scalar_runs_and_codegen_are_traced(self, traced_run, trace_path):
+        from collections import Counter
+
+        from repro.obs import read_trace
+
+        spans = read_trace(trace_path)
+        by_id = {s.span_id: s for s in spans}
+
+        def stage_of(span):
+            while span.parent_id:
+                span = by_id[span.parent_id]
+                if span.name.startswith("stage:"):
+                    return span.name
+            return None
+
+        runs = [s for s in spans if s.name == "runtime.run"]
+        per_stage = Counter(stage_of(s) for s in runs)
+        assert per_stage["stage:experimental_runs"] == 3
+        assert per_stage["stage:coverage_run"] == 1
+        for span in runs:
+            assert span.attrs["nsteps"] == 1
+            assert span.attrs["statements"] > 0
+            assert isinstance(span.attrs["coverage"], bool)
+        # one generation per (build, fp): the control build for the serial
+        # ensemble, the suspect build for its first experimental run; the
+        # coverage run of the same build reuses it
+        codegen = [s for s in spans if s.name == "runtime.codegen"]
+        assert Counter(stage_of(s) for s in codegen) == {
+            "stage:control_ensemble": 1,
+            "stage:experimental_runs": 1,
+        }
+        for span in codegen:
+            assert span.attrs["subprograms"] > 0
+            assert span.attrs["source_bytes"] > 0
+        doc = json.loads(traced_run[1])
+        assert doc["metrics"]["interpreter.codegen"] == len(codegen)
+
     def test_trace_summarize_renders_markdown(self, traced_run, trace_path):
         code, text = invoke(["trace", "summarize", trace_path, "--top", "5"])
         assert code == 0
