@@ -1593,10 +1593,7 @@ class GeneratedEngine:
     # ------------------------------------------------------------ entry
     def enter(self, sub: Subprogram, frame) -> None:
         """Declare ``sub``'s locals in ``frame`` and run its body."""
-        fn = self._functions.get(id(sub))
-        if fn is None:
-            fn = self.function(sub)
-        fn(frame)
+        (self._functions.get(id(sub)) or self.function(sub))(frame)
 
     def function(self, sub: Subprogram):
         fn = self._functions.get(id(sub))

@@ -186,3 +186,29 @@ def test_one_build_generates_code_once_per_fp_model():
     run_model(RunConfig(model=model, nsteps=1, fp=FPConfig(fma=True)),
               source=source)
     assert metrics.counter_delta(before).get("interpreter.codegen") == 2
+
+
+def test_module_python_cannot_compile_runs_on_the_reference_walker():
+    # eleven nested do loops need 22 static blocks in the generated
+    # Python, past the compiler's limit of 20
+    depth = 11
+    loops = "\n".join("  " * i + f"do i{i} = 1, 2" for i in range(depth))
+    ends = "\n".join("  " * i + "end do" for i in reversed(range(depth)))
+    source = f"""
+module m
+  implicit none
+contains
+  function deep() result(total)
+    integer :: total, {", ".join(f"i{i}" for i in range(depth))}
+    total = 0
+{loops}
+{"  " * depth}total = total + 1
+{ends}
+  end function deep
+end module m
+"""
+    reference = Interpreter.from_source(source, compile=False)
+    generated = Interpreter.from_source(source)
+    assert generated.call("m", "deep") == reference.call("m", "deep") == 2**depth
+    assert generated.statements_executed == reference.statements_executed
+    assert generated.coverage.counts == reference.coverage.counts
