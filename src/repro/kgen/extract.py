@@ -129,7 +129,7 @@ class KernelAccounting:
 
     A generated kernel calls ``_acct.hit(filename, line, mask)`` once per
     executed statement; ``hit`` mirrors
-    :meth:`repro.runtime.vec.VecNodeCompiler._account_fn` exactly: the
+    :meth:`repro.runtime.compiler.VecCompiler._account_fn` exactly: the
     shared ``statements_executed`` counter advances (with the statement
     budget checked), under a member mask the per-member
     ``_extra_statements`` corrections and per-line coverage counts absorb

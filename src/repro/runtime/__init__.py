@@ -12,7 +12,9 @@ The stable entry point is :func:`run_model`; downstream modules
 consume only :class:`RunResult` and never touch evaluator internals.
 :func:`run_model_batch` (:mod:`repro.runtime.vec`) is the member-batched
 variant: one vectorized evaluation advances a whole ensemble and returns a
-bit-identical :class:`RunResult` per member.
+bit-identical :class:`RunResult` per member.  It runs on the other engine,
+:class:`~repro.runtime.compiler.VecCompiler`'s per-AST-node closures, whose
+control flow and stores carry a member mask.
 
 ``RunConfig`` knobs
 -------------------

@@ -1,30 +1,35 @@
-"""Per-AST-node closure compilation: the base of the vectorized engine.
+"""Closure compilation for the vectorized (member-batched) engine.
 
-:class:`NodeCompiler` memoizes a closure per AST node: the first visit of a
-node builds a small closure specialised on
+:class:`VecCompiler` memoizes one closure per AST node for a
+:class:`~repro.runtime.vec.VecInterpreter`.  The first visit of a node
+builds a small closure specialised on
 
 * the node type and operator (no dispatch or string compares afterwards),
 * the floating-point configuration (plain ``+``/``-``/``*`` when neither
   flush-to-zero nor FMA can change the result),
-* the resolved procedure / intrinsic for calls (name resolution through
-  use-association runs once per call site, not once per execution), and
+* the resolved procedure, intrinsic or kgen kernel for calls (name
+  resolution through use-association runs once per call site, not once
+  per execution), and
 * the non-local scope owning a variable (locals are still checked first on
   every access, so dynamic shadowing keeps its interpreted semantics).
 
-It serves only :class:`~repro.runtime.vec.VecNodeCompiler`, whose closures
-carry member masks through control flow and stores.  The scalar engine
-(and the ensemble benchmark's ``compiled`` row) executes generated Python
-per subprogram instead (:mod:`repro.runtime.codegen`).
+Control flow and stores carry the interpreter's member mask (see
+:mod:`repro.runtime.vec` for the rules), statement accounting counts per
+member, and call sites use :data:`VEC_INTRINSICS`, the intrinsics with
+member-batch-aware replacements for every one that would fold the member
+axis into the model.  The scalar engine generates Python per subprogram
+instead (:mod:`repro.runtime.codegen`) and never builds this compiler.
 
 Caches are keyed by ``id(node)`` and pin the node object, so entries stay
 valid for the lifetime of the interpreter.  Compilation is *behavioural*
 memoization only — evaluation order, coercions, error types and messages,
-statement accounting and coverage counts are identical to the dispatch
-interpreter (``Interpreter(..., compile=False)``).
+statement accounting and coverage counts are identical to the reference
+walker (``Interpreter(..., compile=False)``) run member by member.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -61,35 +66,206 @@ from .values import (
     DerivedValue,
     FortranRuntimeError,
     IntentViolationError,
+    MemberBatch,
     StatementLimitExceeded,
     StopModel,
     UndefinedNameError,
+    VectorizationError,
     _Cycle,
     _Exit,
     _Return,
 )
 
-__all__ = ["NodeCompiler"]
+__all__ = ["VEC_INTRINSICS", "VecCompiler"]
 
 _MISSING = object()
+_INT_HUGE = 2147483647
+_F64_MAX = float(np.finfo(np.float64).max)
 
 
-def _truthy(value) -> bool:
-    if isinstance(value, np.ndarray):
-        raise FortranRuntimeError(
-            "scalar logical required (array condition in if/do while)"
+def _lift(mask: np.ndarray, model_ndim: int) -> np.ndarray:
+    """Reshape a ``(n,)`` member mask to ``(n, 1, ..., 1)`` so it broadcasts
+    against a batch with ``model_ndim`` model axes."""
+    if model_ndim <= 0:
+        return mask
+    return mask.reshape(mask.shape + (1,) * model_ndim)
+
+
+def _model_axes(base: np.ndarray) -> tuple[int, ...]:
+    return tuple(range(1, base.ndim))
+
+
+# --------------------------------------------------------------------------- #
+# Member-batch-aware intrinsics
+# --------------------------------------------------------------------------- #
+def _any_batch(*args) -> bool:
+    return any(isinstance(a, MemberBatch) for a in args)
+
+
+def _vec_sum(array, dim=None):
+    if isinstance(array, MemberBatch):
+        base = np.asarray(array)
+        if dim is not None:
+            # model axis d (1-based) is base axis d: axis 0 is the member axis
+            return np.sum(base, axis=int(dim)).view(MemberBatch)
+        return np.sum(base, axis=_model_axes(base)).view(MemberBatch)
+    return INTRINSIC_FUNCTIONS["sum"](array, dim)
+
+
+def _vec_maxval(array):
+    if isinstance(array, MemberBatch):
+        base = np.asarray(array)
+        return np.max(base, axis=_model_axes(base)).view(MemberBatch)
+    return INTRINSIC_FUNCTIONS["maxval"](array)
+
+
+def _vec_minval(array):
+    if isinstance(array, MemberBatch):
+        base = np.asarray(array)
+        return np.min(base, axis=_model_axes(base)).view(MemberBatch)
+    return INTRINSIC_FUNCTIONS["minval"](array)
+
+
+def _vec_size(array, dim=None):
+    if isinstance(array, MemberBatch):
+        base = np.asarray(array)
+        if dim is None:
+            size = 1
+            for extent in base.shape[1:]:
+                size *= extent
+            return size
+        return int(base.shape[int(dim)])
+    return INTRINSIC_FUNCTIONS["size"](array, dim)
+
+
+def _vec_count(mask):
+    if isinstance(mask, MemberBatch):
+        base = np.asarray(mask)
+        if base.ndim == 1:
+            return base.astype(np.int64).view(MemberBatch)
+        out = np.count_nonzero(base, axis=_model_axes(base))
+        return np.asarray(out, dtype=np.int64).view(MemberBatch)
+    return INTRINSIC_FUNCTIONS["count"](mask)
+
+
+def _vec_any(mask):
+    if isinstance(mask, MemberBatch):
+        base = np.asarray(mask)
+        return np.any(base, axis=_model_axes(base)).view(MemberBatch)
+    return INTRINSIC_FUNCTIONS["any"](mask)
+
+
+def _vec_all(mask):
+    if isinstance(mask, MemberBatch):
+        base = np.asarray(mask)
+        return np.all(base, axis=_model_axes(base)).view(MemberBatch)
+    return INTRINSIC_FUNCTIONS["all"](mask)
+
+
+def _vec_merge(tsource, fsource, mask):
+    if _any_batch(tsource, fsource, mask):
+        # np.where is not a ufunc: lift batches by hand and re-wrap
+        target = 0
+        for v in (tsource, fsource, mask):
+            if isinstance(v, MemberBatch):
+                target = max(target, v.ndim - 1)
+            elif isinstance(v, np.ndarray):
+                target = max(target, v.ndim)
+        t, f, m = (
+            v._lifted(target) if isinstance(v, MemberBatch) else v
+            for v in (tsource, fsource, mask)
         )
-    return bool(value)
+        return np.where(m, t, f).view(MemberBatch)
+    return INTRINSIC_FUNCTIONS["merge"](tsource, fsource, mask)
 
 
-class NodeCompiler:
-    """Build and memoize per-node evaluator closures for one interpreter."""
+def _vec_huge(x):
+    if isinstance(x, MemberBatch):
+        if np.issubdtype(np.asarray(x).dtype, np.integer):
+            return _INT_HUGE
+        return _F64_MAX
+    return INTRINSIC_FUNCTIONS["huge"](x)
+
+
+def _rewrap_math(name: str):
+    base = INTRINSIC_FUNCTIONS[name]
+
+    def wrapped(x):
+        # np.vectorize drops the subclass; restore the member axis marker
+        result = base(x)
+        if isinstance(x, MemberBatch) and isinstance(result, np.ndarray):
+            return result.view(MemberBatch)
+        return result
+
+    return wrapped
+
+
+def _batch_unsupported(name: str):
+    base = INTRINSIC_FUNCTIONS[name]
+
+    def wrapped(*args, **kwargs):
+        if _any_batch(*args, *kwargs.values()):
+            raise VectorizationError(
+                f"intrinsic {name!r} over a member batch is not supported "
+                "by the vectorized runtime"
+            )
+        return base(*args, **kwargs)
+
+    return wrapped
+
+
+#: INTRINSIC_FUNCTIONS with member-batch-aware replacements for every
+#: implementation that reduces, reshapes, or otherwise collapses the array
+#: it is given (and so would silently fold the member axis into the model).
+VEC_INTRINSICS: dict[str, object] = {
+    **INTRINSIC_FUNCTIONS,
+    "sum": _vec_sum,
+    "maxval": _vec_maxval,
+    "minval": _vec_minval,
+    "size": _vec_size,
+    "count": _vec_count,
+    "any": _vec_any,
+    "all": _vec_all,
+    "merge": _vec_merge,
+    "huge": _vec_huge,
+    "gamma": _rewrap_math("gamma"),
+    "erf": _rewrap_math("erf"),
+    "erfc": _rewrap_math("erfc"),
+    "spread": _batch_unsupported("spread"),
+    "reshape": _batch_unsupported("reshape"),
+    "matmul": _batch_unsupported("matmul"),
+    "dot_product": _batch_unsupported("dot_product"),
+}
+
+
+# --------------------------------------------------------------------------- #
+# Compiler: per-node closures with masked control flow and member-aware stores
+# --------------------------------------------------------------------------- #
+def _uniform(value, what: str, loc):
+    """Collapse a value-uniform member batch to its one value.
+
+    ``int()`` of a promoted batch scalar yields a batch even when every
+    member agrees, so control values are refused only when the members
+    really differ (or the value is a model array)."""
+    if not isinstance(value, np.ndarray):
+        return value
+    base = np.asarray(value)
+    first = base.flat[0]
+    if base.ndim != 1 or not bool(np.all(base == first)):
+        raise VectorizationError(f"member-varying {what} at {loc}")
+    return first.item()
+
+
+class VecCompiler:
+    """Build and memoize per-node evaluator closures for one
+    :class:`~repro.runtime.vec.VecInterpreter` (see the module docstring).
+
+    All divergence state lives on the interpreter (``interp._mask``,
+    ``interp._extra_statements``), so a closure stays shareable per AST
+    node whatever mask it later runs under.
+    """
 
     __slots__ = ("interp", "expr_cache", "stmt_cache", "body_cache")
-
-    #: expression-intrinsic implementations call sites specialise on; the
-    #: vectorized compiler swaps in member-batch-aware wrappers
-    _intrinsic_table = INTRINSIC_FUNCTIONS
 
     def __init__(self, interp):
         self.interp = interp
@@ -119,12 +295,6 @@ class NodeCompiler:
         fns = [self.stmt(s) for s in body]
         self.body_cache[id(body)] = (body, fns)
         return fns
-
-    def cached_body(self, body: list[Stmt]) -> list[Callable]:
-        cached = self.body_cache.get(id(body))
-        if cached is not None:
-            return cached[1]
-        return self.body(body)
 
     # ------------------------------------------------------ expressions
     def _build_expr(self, node: Expr) -> Callable:
@@ -390,6 +560,9 @@ class NodeCompiler:
         if resolved is not None:
             target_mrt, sub = resolved
             if sub.is_function:
+                fused = self._build_kernel_call(node, target_mrt, sub)
+                if fused is not None:
+                    return fused
                 args = node.args
                 keywords = node.keywords
                 call = interp._call_subprogram
@@ -402,7 +575,7 @@ class NodeCompiler:
                 return lambda f: interp._eval_apply(node, f)
             arg_name = node.args[0].name
             return lambda f: arg_name not in f.optional_missing
-        fn = self._intrinsic_table.get(lowered)
+        fn = VEC_INTRINSICS.get(lowered)
         if fn is not None:
             arg_fns = [self.expr(a) for a in node.args]
             if node.keywords:
@@ -424,6 +597,63 @@ class NodeCompiler:
             return lambda f: fn(*[a(f) for a in arg_fns])
         # unknown name: legacy path raises with the right message
         return lambda f: interp._eval_apply(node, f)
+
+    def _build_kernel_call(self, node: Apply, target_mrt, sub):
+        """Swap a conformant kgen kernel in for an elemental function call
+        (``None`` when the call site does not qualify).
+
+        The swap happens at call-site specialization time and only when
+        every gate holds: the interpreter carries a
+        :class:`~repro.kgen.registry.KernelRegistry`, the name resolves to
+        an ``elemental`` function (not an array or subroutine), the call is
+        fully positional, and the registry holds a verified kernel for the
+        resolved ``(module, function)``.  Even then each *execution*
+        re-checks runtime shapes: the kernel runs only for batch-scalar
+        ``(n,)``/scalar arguments, and anything else — plain model arrays,
+        model-shaped batches — takes the interpreted elemental path and
+        counts a ``kgen.fallbacks``.  Accounting is replayed through the
+        kernel's ``_acct`` hook, so statement counts and coverage stay
+        bit-identical to interpretation.
+        """
+        interp = self.interp
+        registry = interp.kernels
+        if (
+            registry is None
+            or node.keywords
+            or "elemental" not in sub.prefixes
+            or len(node.args) != len(sub.args)
+        ):
+            return None
+        kernel = registry.lookup(target_mrt.node.name, sub.name)
+        if kernel is None:
+            return None
+        arg_fns = [self.expr(a) for a in node.args]
+        fn = kernel.fn
+        dispatch = interp._dispatch_elemental
+
+        def run(f):
+            values = [a(f) for a in arg_fns]
+            fusable = False
+            for v in values:
+                if isinstance(v, MemberBatch):
+                    if np.asarray(v).ndim != 1:
+                        fusable = False
+                        break
+                    fusable = True
+                elif isinstance(v, np.ndarray):
+                    fusable = False
+                    break
+            if not fusable:
+                # scalar or model-array call: interpret, exactly like the
+                # elemental guard in _call_subprogram (args already
+                # evaluated once, so side effects and accounting match)
+                interp.kernel_fallbacks += 1
+                return dispatch(target_mrt, sub, values, f)
+            interp.kernel_calls += 1
+            out = fn(*values, _acct=interp._kernel_acct)
+            return np.asarray(out).view(MemberBatch)
+
+        return run
 
     def _build_array_index(self, node: Apply) -> Callable:
         interp = self.interp
@@ -455,7 +685,6 @@ class NodeCompiler:
         return run
 
     def _build_derivedref(self, node: DerivedRef) -> Callable:
-        interp = self.interp
         base_fn = self.expr(node.base)
         component = node.component
         index_fn = self._build_index(node.args) if node.args else None
@@ -477,7 +706,12 @@ class NodeCompiler:
 
     # ------------------------------------------------------- statements
     def _account_fn(self, node: Stmt) -> Callable[[], None]:
-        """One statement execution: budget check, then coverage count."""
+        """One statement execution: budget check, then coverage count.
+
+        Under a member mask the shared counter still advances once, the
+        per-member ``_extra_statements`` corrections take the members the
+        mask leaves out, and the coverage count grows by the mask.
+        """
         interp = self.interp
         loc = node.location
         key = (loc.filename, loc.line) if loc.line > 0 else None
@@ -494,6 +728,9 @@ class NodeCompiler:
                         f"statement budget of {limit} exhausted "
                         f"(possible runaway loop at {loc})"
                     )
+                mask = interp._mask
+                if mask is not None:
+                    interp._extra_statements += mask.astype(np.int64) - 1
 
             return account
 
@@ -505,7 +742,13 @@ class NodeCompiler:
                     f"statement budget of {limit} exhausted "
                     f"(possible runaway loop at {loc})"
                 )
-            cov[key] = cov.get(key, 0) + 1
+            mask = interp._mask
+            if mask is None:
+                cov[key] = cov.get(key, 0) + 1
+                return
+            mi = mask.astype(np.int64)
+            interp._extra_statements += mi - 1
+            cov[key] = cov.get(key, 0) + mi
 
         return account
 
@@ -551,34 +794,26 @@ class NodeCompiler:
         return run
 
     def _build_flow_stmt(self, node: Stmt, account: Callable) -> Callable:
-        """``return`` / ``exit`` / ``cycle`` / ``stop`` (overridable: the
-        vectorized compiler refuses these under diverged member masks)."""
+        """``return`` / ``exit`` / ``cycle`` / ``stop``, refused under a
+        diverged member mask (the members would leave at different points)."""
+        interp = self.interp
         t = type(node)
-        if t is ReturnStmt:
-            def run_return(frame):
-                account()
-                raise _Return()
+        if t is StopStmt:
+            signal = partial(StopModel, node.message)
+        else:
+            signal = {ReturnStmt: _Return, ExitStmt: _Exit, CycleStmt: _Cycle}[t]
+        kind = t.__name__.replace("Stmt", "").lower()
+        loc = node.location
 
-            return run_return
-        if t is ExitStmt:
-            def run_exit(frame):
-                account()
-                raise _Exit()
-
-            return run_exit
-        if t is CycleStmt:
-            def run_cycle(frame):
-                account()
-                raise _Cycle()
-
-            return run_cycle
-        message = node.message
-
-        def run_stop(frame):
+        def run(frame):
+            if interp._mask is not None:
+                raise VectorizationError(
+                    f"'{kind}' under diverged member control flow at {loc}"
+                )
             account()
-            raise StopModel(message)
+            raise signal()
 
-        return run_stop
+        return run
 
     # ------------------------------------------------------- assignment
     def _build_assignment(self, node) -> Callable:
@@ -595,7 +830,7 @@ class NodeCompiler:
     def _build_store(self, target: Expr) -> Callable:
         """Compile an assignment target to a ``store(frame, value)`` closure
         with the dispatch interpreter's resolution, guard and coercion
-        semantics."""
+        semantics, blended against the member mask."""
         t = type(target)
         if t is VarRef:
             return self._build_store_var(target.name)
@@ -630,6 +865,15 @@ class NodeCompiler:
                         scope, rname = found
                         cell.append(found)
             current = scope.values.get(rname)
+            mask = interp._mask
+            if (
+                mask is not None
+                or isinstance(value, MemberBatch)
+                or isinstance(current, MemberBatch)
+            ):
+                interp._store_slot(scope, rname, current, value, mask)
+                return
+            # member-uniform store: the scalar runtime's coercion rules
             if isinstance(current, (int, np.integer)) and not isinstance(
                 current, (bool, np.bool_)
             ):
@@ -680,7 +924,9 @@ class NodeCompiler:
                 raise IntentViolationError(
                     f"cannot assign through read-only name {rname!r}"
                 )
-            container[index] = value
+            interp._store_into_array(
+                container, index, value, interp._mask, rname
+            )
 
         return store
 
@@ -706,6 +952,7 @@ class NodeCompiler:
                     f"component reference into non-derived value "
                     f"{component!r}"
                 )
+            mask = interp._mask
             if index_fn is not None:
                 array = base.get(component)
                 if not isinstance(array, np.ndarray):
@@ -717,11 +964,20 @@ class NodeCompiler:
                     raise IntentViolationError(
                         f"cannot assign through read-only name {root_name!r}"
                     )
-                array[index] = value
+                interp._store_into_array(array, index, value, mask, component)
                 return
             if guard is not None and root_name in guard:
                 raise IntentViolationError(
                     f"cannot assign through read-only name {root_name!r}"
+                )
+            current = base.get(component)
+            if isinstance(current, np.ndarray):
+                interp._store_into_array(current, None, value, mask, component)
+                return
+            if isinstance(value, MemberBatch) or mask is not None:
+                raise VectorizationError(
+                    f"member-varying store into scalar component "
+                    f"{component!r}"
                 )
             base.set(component, value)
 
@@ -766,19 +1022,68 @@ class NodeCompiler:
 
     # ----------------------------------------------------- control flow
     def _build_if(self, node: IfBlock) -> Callable:
+        interp = self.interp
         account = self._account_fn(node)
         branches = [
             (None if cond is None else self.expr(cond), self.body(body))
             for cond, body in node.branches
         ]
+        loc = node.location
 
         def run(frame):
             account()
-            for cond_fn, body_fns in branches:
-                if cond_fn is None or _truthy(cond_fn(frame)):
-                    for fn in body_fns:
-                        fn(frame)
-                    return
+            base = interp._mask
+            remaining: Optional[np.ndarray] = None  # None => all active
+            try:
+                for cond_fn, body_fns in branches:
+                    cond = True if cond_fn is None else cond_fn(frame)
+                    if isinstance(cond, np.ndarray):
+                        # member-divergent condition: the batch collapses to
+                        # masked execution here; counted for `vec.mask_collapses`
+                        interp.mask_divergences += 1
+                        cond = np.asarray(cond, dtype=bool)
+                        if (
+                            cond.ndim != 1
+                            or cond.shape[0] != interp.n_members
+                        ):
+                            raise VectorizationError(
+                                f"if-condition at {loc} is a model array; "
+                                "only member-batched scalars may diverge"
+                            )
+                        eligible = remaining if remaining is not None else base
+                        if eligible is None:
+                            branch = cond
+                            remaining = ~cond
+                        else:
+                            branch = cond & eligible
+                            remaining = ~cond & eligible
+                        if branch.any():
+                            interp._mask = (
+                                None
+                                if eligible is None and branch.all()
+                                else branch
+                            )
+                            try:
+                                for fn in body_fns:
+                                    fn(frame)
+                            finally:
+                                interp._mask = base
+                        if not remaining.any():
+                            return
+                    else:
+                        if not cond:
+                            continue
+                        interp._mask = (
+                            remaining if remaining is not None else base
+                        )
+                        try:
+                            for fn in body_fns:
+                                fn(frame)
+                        finally:
+                            interp._mask = base
+                        return
+            finally:
+                interp._mask = base
 
         return run
 
@@ -791,12 +1096,15 @@ class NodeCompiler:
         body_fns = self.body(node.body)
         var = node.var
         loc = node.location
+        what = "do-loop bounds"
 
         def run(frame):
             account()
-            start = start_fn(frame)
-            stop = stop_fn(frame)
-            step = step_fn(frame) if step_fn is not None else 1
+            start = _uniform(start_fn(frame), what, loc)
+            stop = _uniform(stop_fn(frame), what, loc)
+            step = 1 if step_fn is None else _uniform(
+                step_fn(frame), what, loc
+            )
             if step == 0:
                 raise FortranRuntimeError(f"zero do-loop step at {loc}")
             found = interp._lookup_var(frame, var)
@@ -829,10 +1137,11 @@ class NodeCompiler:
         account = self._account_fn(node)
         cond_fn = self.expr(node.condition)
         body_fns = self.body(node.body)
+        loc = node.location
 
         def run(frame):
             account()
-            while _truthy(cond_fn(frame)):
+            while _uniform(cond_fn(frame), "do-while condition", loc):
                 try:
                     for fn in body_fns:
                         fn(frame)
@@ -847,6 +1156,8 @@ class NodeCompiler:
     def _build_select(self, node: SelectCase) -> Callable:
         account = self._account_fn(node)
         selector_fn = self.expr(node.selector)
+        loc = node.location
+        what = "select-case selector"
         compiled_cases: list[tuple[Optional[list], list[Callable]]] = []
         for items, body in node.cases:
             if items is None:
@@ -857,7 +1168,7 @@ class NodeCompiler:
 
         def run(frame):
             account()
-            selector = selector_fn(frame)
+            selector = _uniform(selector_fn(frame), what, loc)
             default_fns = None
             for matchers, body_fns in compiled_cases:
                 if matchers is None:
@@ -911,7 +1222,8 @@ class NodeCompiler:
         body_items = compile_masked(node.body)
         else_items = compile_masked(node.else_body) if node.else_body else None
 
-        def exec_masked(items, mask, frame):
+        def exec_masked(items, mask_val, frame):
+            member = interp._mask
             for stmt_account, value_fn, stmt in items:
                 stmt_account()
                 value = value_fn(frame)
@@ -927,13 +1239,48 @@ class NodeCompiler:
                         f"cannot assign through read-only target at "
                         f"{stmt.location}"
                     )
-                np.copyto(target, value, where=mask, casting="unsafe")
+                if isinstance(target, MemberBatch):
+                    tbase = np.asarray(target)
+                    tmodel = tbase.ndim - 1
+                    if isinstance(mask_val, MemberBatch):
+                        where = np.asarray(mask_val._lifted(tmodel), bool)
+                    else:
+                        where = np.asarray(mask_val, dtype=bool)
+                    if member is not None:
+                        where = where & _lift(member, tmodel)
+                    v = (
+                        value._lifted(tmodel)
+                        if isinstance(value, MemberBatch)
+                        else value
+                    )
+                    np.copyto(tbase, v, where=where, casting="unsafe")
+                    continue
+                if (
+                    isinstance(mask_val, MemberBatch)
+                    or isinstance(value, MemberBatch)
+                    or member is not None
+                ):
+                    raise VectorizationError(
+                        "member-varying where-assignment into member-"
+                        f"uniform storage at {stmt.location}"
+                    )
+                np.copyto(
+                    target,
+                    value,
+                    where=np.asarray(mask_val, dtype=bool),
+                    casting="unsafe",
+                )
 
         def run(frame):
             account()
-            mask = np.asarray(mask_fn(frame), dtype=bool)
-            exec_masked(body_items, mask, frame)
+            mask_val = mask_fn(frame)
+            exec_masked(body_items, mask_val, frame)
             if else_items:
-                exec_masked(else_items, ~mask, frame)
+                inverted = (
+                    np.logical_not(mask_val)
+                    if isinstance(mask_val, np.ndarray)
+                    else not mask_val
+                )
+                exec_masked(else_items, inverted, frame)
 
         return run

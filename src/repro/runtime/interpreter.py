@@ -74,7 +74,6 @@ from ..fortran.ast_nodes import (
 )
 from ..fortran.intrinsics import SUBROUTINE_INTRINSICS
 from ..fortran.parser import parse_source
-from .compiler import NodeCompiler
 from .coverage import CoverageTrace
 from .fpu import FPU, FPConfig
 from .intrinsics import INTRINSIC_FUNCTIONS
@@ -265,26 +264,15 @@ class Interpreter:
             UnparsedStmt: self._exec_unparsed,
         }
 
-        #: per-AST-node memoized closures of the vectorized subclass (None
-        #: => dispatch walking for expressions and fallback statements)
-        self._compiler: Optional[NodeCompiler] = (
-            self._compiler_factory(self)
-            if compile and self._compiler_factory is not None
-            else None
-        )
         #: the scalar engine: generated Python per subprogram (None =>
         #: the dispatch walker, the reference semantics it must match
         #: bit for bit); imported here so a process that runs no model
         #: never loads the generator
         self._codegen: Optional["GeneratedEngine"] = None
-        if compile and self._compiler is None:
+        if compile:
             from .codegen import GeneratedEngine
 
             self._codegen = GeneratedEngine(self, asts)
-
-    #: the closure compiler a subclass builds when ``compile=True`` (the
-    #: vectorized runtime); the scalar interpreter generates code instead
-    _compiler_factory: Optional[type[NodeCompiler]] = None
 
     # ------------------------------------------------------------------ API
     @classmethod
@@ -850,13 +838,6 @@ class Interpreter:
 
     # ----------------------------------------------------------- execution
     def exec_body(self, body: list[Stmt], frame: Frame) -> None:
-        compiler = self._compiler
-        if compiler is not None:
-            cached = compiler.body_cache.get(id(body))
-            fns = cached[1] if cached is not None else compiler.body(body)
-            for fn in fns:
-                fn(frame)
-            return
         for stmt in body:
             self.exec_stmt(stmt, frame)
 
@@ -875,12 +856,6 @@ class Interpreter:
                 self._cov_counts[key] = self._cov_counts.get(key, 0) + 1
 
     def exec_stmt(self, stmt: Stmt, frame: Frame) -> None:
-        compiler = self._compiler
-        if compiler is not None:
-            cached = compiler.stmt_cache.get(id(stmt))
-            fn = cached[1] if cached is not None else compiler.stmt(stmt)
-            fn(frame)
-            return
         self._account(stmt)
         handler = self._exec_dispatch.get(type(stmt))
         if handler is None:
@@ -1120,11 +1095,6 @@ class Interpreter:
 
     # ----------------------------------------------------------- evaluation
     def eval(self, expr: Expr, frame: Frame):
-        compiler = self._compiler
-        if compiler is not None:
-            cached = compiler.expr_cache.get(id(expr))
-            fn = cached[1] if cached is not None else compiler.expr(expr)
-            return fn(frame)
         handler = self._eval_dispatch.get(type(expr))
         if handler is None:
             raise FortranRuntimeError(

@@ -6,7 +6,8 @@ per-member ``pertlim`` draws and PRNG seeds become leading-axis arrays
 over the member axis through numpy ufuncs, and near-identical control flow
 diverges via ``where``-masked evaluation — an ``if`` whose condition varies
 per member executes every branch under a boolean member mask, blending
-stores so inactive members keep their old values.
+stores so inactive members keep their old values.  The evaluation runs on
+the per-AST-node closures of :class:`~repro.runtime.compiler.VecCompiler`.
 
 Design rules (enforced, not assumed):
 
@@ -22,8 +23,9 @@ Design rules (enforced, not assumed):
   under the branch's member mask and every store blends against it.
   Constructs that cannot be expressed under a partial mask — ``return`` /
   ``exit`` / ``cycle`` / ``stop``, PRNG draws, ``outfld`` history writes,
-  member-varying loop bounds or ``select`` selectors — raise
-  :class:`VectorizationError` instead of silently mixing members.
+  member-varying ``do`` bounds, ``do while`` conditions or ``select case``
+  selectors — raise :class:`VectorizationError` instead of silently mixing
+  members; a member batch whose values all agree collapses and proceeds.
 * **Bit-identity with the scalar interpreter.**  Every arithmetic path
   reuses the scalar runtime's FPU (whose ufunc formulation is batch-safe),
   the batched PRNG reproduces each member's scalar stream exactly, and
@@ -39,29 +41,16 @@ that share everything but ``pertlim`` and ``seed``, and slices one
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from ..fortran.ast_nodes import (
-    Apply,
-    DerivedRef,
-    DoLoop,
-    DoWhile,
-    IfBlock,
-    SelectCase,
-    Stmt,
-    VarRef,
-    WhereBlock,
-)
-from .compiler import NodeCompiler, _MISSING
+from .compiler import VecCompiler, _lift
 from .coverage import CoverageTrace
 from .interpreter import _DTYPES, Interpreter
-from .intrinsics import INTRINSIC_FUNCTIONS
 from .prng import BatchedPRNGStreams
 from .values import (
     ComponentRef,
-    DerivedValue,
     ElementRef,
     FortranRuntimeError,
     IntentViolationError,
@@ -69,698 +58,10 @@ from .values import (
     Ref,
     ScopeRef,
     StatementLimitExceeded,
-    UndefinedNameError,
     VectorizationError,
-    _Cycle,
-    _Exit,
 )
 
-__all__ = [
-    "VEC_INTRINSICS",
-    "VecInterpreter",
-    "VecNodeCompiler",
-    "run_model_batch",
-]
-
-_INT_HUGE = 2147483647
-_F64_MAX = float(np.finfo(np.float64).max)
-
-
-def _lift(mask: np.ndarray, model_ndim: int) -> np.ndarray:
-    """Reshape a ``(n,)`` member mask to ``(n, 1, ..., 1)`` so it broadcasts
-    against a batch with ``model_ndim`` model axes."""
-    if model_ndim <= 0:
-        return mask
-    return mask.reshape(mask.shape + (1,) * model_ndim)
-
-
-def _model_axes(base: np.ndarray) -> tuple[int, ...]:
-    return tuple(range(1, base.ndim))
-
-
-# --------------------------------------------------------------------------- #
-# Member-batch-aware intrinsics
-# --------------------------------------------------------------------------- #
-def _any_batch(*args) -> bool:
-    return any(isinstance(a, MemberBatch) for a in args)
-
-
-def _vec_sum(array, dim=None):
-    if isinstance(array, MemberBatch):
-        base = np.asarray(array)
-        if dim is not None:
-            # model axis d (1-based) is base axis d: axis 0 is the member axis
-            return np.sum(base, axis=int(dim)).view(MemberBatch)
-        return np.sum(base, axis=_model_axes(base)).view(MemberBatch)
-    return INTRINSIC_FUNCTIONS["sum"](array, dim)
-
-
-def _vec_maxval(array):
-    if isinstance(array, MemberBatch):
-        base = np.asarray(array)
-        return np.max(base, axis=_model_axes(base)).view(MemberBatch)
-    return INTRINSIC_FUNCTIONS["maxval"](array)
-
-
-def _vec_minval(array):
-    if isinstance(array, MemberBatch):
-        base = np.asarray(array)
-        return np.min(base, axis=_model_axes(base)).view(MemberBatch)
-    return INTRINSIC_FUNCTIONS["minval"](array)
-
-
-def _vec_size(array, dim=None):
-    if isinstance(array, MemberBatch):
-        base = np.asarray(array)
-        if dim is None:
-            size = 1
-            for extent in base.shape[1:]:
-                size *= extent
-            return size
-        return int(base.shape[int(dim)])
-    return INTRINSIC_FUNCTIONS["size"](array, dim)
-
-
-def _vec_count(mask):
-    if isinstance(mask, MemberBatch):
-        base = np.asarray(mask)
-        if base.ndim == 1:
-            return base.astype(np.int64).view(MemberBatch)
-        out = np.count_nonzero(base, axis=_model_axes(base))
-        return np.asarray(out, dtype=np.int64).view(MemberBatch)
-    return INTRINSIC_FUNCTIONS["count"](mask)
-
-
-def _vec_any(mask):
-    if isinstance(mask, MemberBatch):
-        base = np.asarray(mask)
-        return np.any(base, axis=_model_axes(base)).view(MemberBatch)
-    return INTRINSIC_FUNCTIONS["any"](mask)
-
-
-def _vec_all(mask):
-    if isinstance(mask, MemberBatch):
-        base = np.asarray(mask)
-        return np.all(base, axis=_model_axes(base)).view(MemberBatch)
-    return INTRINSIC_FUNCTIONS["all"](mask)
-
-
-def _vec_merge(tsource, fsource, mask):
-    if _any_batch(tsource, fsource, mask):
-        # np.where is not a ufunc: lift batches by hand and re-wrap
-        target = 0
-        for v in (tsource, fsource, mask):
-            if isinstance(v, MemberBatch):
-                target = max(target, v.ndim - 1)
-            elif isinstance(v, np.ndarray):
-                target = max(target, v.ndim)
-        t, f, m = (
-            v._lifted(target) if isinstance(v, MemberBatch) else v
-            for v in (tsource, fsource, mask)
-        )
-        return np.where(m, t, f).view(MemberBatch)
-    return INTRINSIC_FUNCTIONS["merge"](tsource, fsource, mask)
-
-
-def _vec_huge(x):
-    if isinstance(x, MemberBatch):
-        if np.issubdtype(np.asarray(x).dtype, np.integer):
-            return _INT_HUGE
-        return _F64_MAX
-    return INTRINSIC_FUNCTIONS["huge"](x)
-
-
-def _rewrap_math(name: str):
-    base = INTRINSIC_FUNCTIONS[name]
-
-    def wrapped(x):
-        # np.vectorize drops the subclass; restore the member axis marker
-        result = base(x)
-        if isinstance(x, MemberBatch) and isinstance(result, np.ndarray):
-            return result.view(MemberBatch)
-        return result
-
-    return wrapped
-
-
-def _batch_unsupported(name: str):
-    base = INTRINSIC_FUNCTIONS[name]
-
-    def wrapped(*args, **kwargs):
-        if _any_batch(*args, *kwargs.values()):
-            raise VectorizationError(
-                f"intrinsic {name!r} over a member batch is not supported "
-                "by the vectorized runtime"
-            )
-        return base(*args, **kwargs)
-
-    return wrapped
-
-
-#: INTRINSIC_FUNCTIONS with member-batch-aware replacements for every
-#: implementation that reduces, reshapes, or otherwise collapses the array
-#: it is given (and so would silently fold the member axis into the model).
-VEC_INTRINSICS: dict[str, object] = {
-    **INTRINSIC_FUNCTIONS,
-    "sum": _vec_sum,
-    "maxval": _vec_maxval,
-    "minval": _vec_minval,
-    "size": _vec_size,
-    "count": _vec_count,
-    "any": _vec_any,
-    "all": _vec_all,
-    "merge": _vec_merge,
-    "huge": _vec_huge,
-    "gamma": _rewrap_math("gamma"),
-    "erf": _rewrap_math("erf"),
-    "erfc": _rewrap_math("erfc"),
-    "spread": _batch_unsupported("spread"),
-    "reshape": _batch_unsupported("reshape"),
-    "matmul": _batch_unsupported("matmul"),
-    "dot_product": _batch_unsupported("dot_product"),
-}
-
-
-# --------------------------------------------------------------------------- #
-# Compiler: masked control flow and member-aware stores
-# --------------------------------------------------------------------------- #
-class VecNodeCompiler(NodeCompiler):
-    """Closure compiler whose control flow and stores honour member masks.
-
-    All divergence state lives on the interpreter (``interp._mask``,
-    ``interp._extra_statements``), so the compiled closures stay shareable
-    per AST node exactly like the scalar compiler's.
-    """
-
-    __slots__ = ()
-
-    _intrinsic_table = VEC_INTRINSICS
-
-    # ------------------------------------------------------- accounting
-    def _account_fn(self, node: Stmt) -> Callable[[], None]:
-        interp = self.interp
-        base_account = NodeCompiler._account_fn(self, node)
-        loc = node.location
-        key = (loc.filename, loc.line) if loc.line > 0 else None
-        cov = interp._cov_counts
-        limit = interp.max_statements
-
-        def account():
-            mask = interp._mask
-            if mask is None:
-                base_account()
-                return
-            n = interp.statements_executed + 1
-            interp.statements_executed = n
-            if n > limit:
-                raise StatementLimitExceeded(
-                    f"statement budget of {limit} exhausted "
-                    f"(possible runaway loop at {loc})"
-                )
-            mi = mask.astype(np.int64)
-            interp._extra_statements += mi - 1
-            if cov is not None and key is not None:
-                cov[key] = cov.get(key, 0) + mi
-
-        return account
-
-    # ----------------------------------------------------- kernel fusion
-    def _specialize_apply(self, node: Apply, frame) -> Callable:
-        """Swap a conformant kgen kernel in for an elemental function call.
-
-        The swap happens at call-site specialization time and only when
-        every gate holds: the interpreter carries a
-        :class:`~repro.kgen.registry.KernelRegistry`, the name resolves to
-        an ``elemental`` function (not an array or subroutine), the call is
-        fully positional, and the registry holds a verified kernel for the
-        resolved ``(module, function)``.  Even then each *execution*
-        re-checks runtime shapes: the kernel runs only for batch-scalar
-        ``(n,)``/scalar arguments, and anything else — plain model arrays,
-        model-shaped batches — takes the interpreted elemental path and
-        counts a ``kgen.fallbacks``.  Accounting is replayed through the
-        kernel's ``_acct`` hook, so statement counts and coverage stay
-        bit-identical to interpretation.
-        """
-        interp = self.interp
-        base = NodeCompiler._specialize_apply(self, node, frame)
-        registry = interp.kernels
-        if registry is None or node.keywords:
-            return base
-        if interp._lookup_var(frame, node.name) is not None:
-            return base
-        resolved = interp._lookup_proc(frame.module, node.name, frozenset())
-        if resolved is None:
-            return base
-        target_mrt, sub = resolved
-        if (
-            not sub.is_function
-            or "elemental" not in sub.prefixes
-            or len(node.args) != len(sub.args)
-        ):
-            return base
-        kernel = registry.lookup(target_mrt.node.name, sub.name)
-        if kernel is None:
-            return base
-        arg_fns = [self.expr(a) for a in node.args]
-        fn = kernel.fn
-        dispatch = interp._dispatch_elemental
-
-        def run(f):
-            values = [a(f) for a in arg_fns]
-            fusable = False
-            for v in values:
-                if isinstance(v, MemberBatch):
-                    if np.asarray(v).ndim != 1:
-                        fusable = False
-                        break
-                    fusable = True
-                elif isinstance(v, np.ndarray):
-                    fusable = False
-                    break
-            if not fusable:
-                # scalar or model-array call: interpret, exactly like the
-                # elemental guard in _call_subprogram (args already
-                # evaluated once, so side effects and accounting match)
-                interp.kernel_fallbacks += 1
-                return dispatch(target_mrt, sub, values, f)
-            interp.kernel_calls += 1
-            out = fn(*values, _acct=interp._kernel_acct)
-            return np.asarray(out).view(MemberBatch)
-
-        return run
-
-    # ----------------------------------------------------- control flow
-    def _build_if(self, node: IfBlock) -> Callable:
-        interp = self.interp
-        account = self._account_fn(node)
-        branches = [
-            (None if cond is None else self.expr(cond), self.body(body))
-            for cond, body in node.branches
-        ]
-        loc = node.location
-
-        def run(frame):
-            account()
-            base = interp._mask
-            remaining: Optional[np.ndarray] = None  # None => all active
-            try:
-                for cond_fn, body_fns in branches:
-                    cond = True if cond_fn is None else cond_fn(frame)
-                    if isinstance(cond, np.ndarray):
-                        # member-divergent condition: the batch collapses to
-                        # masked execution here; counted for `vec.mask_collapses`
-                        interp.mask_divergences += 1
-                        cond = np.asarray(cond, dtype=bool)
-                        if (
-                            cond.ndim != 1
-                            or cond.shape[0] != interp.n_members
-                        ):
-                            raise VectorizationError(
-                                f"if-condition at {loc} is a model array; "
-                                "only member-batched scalars may diverge"
-                            )
-                        eligible = remaining if remaining is not None else base
-                        if eligible is None:
-                            branch = cond
-                            remaining = ~cond
-                        else:
-                            branch = cond & eligible
-                            remaining = ~cond & eligible
-                        if branch.any():
-                            interp._mask = (
-                                None
-                                if eligible is None and branch.all()
-                                else branch
-                            )
-                            try:
-                                for fn in body_fns:
-                                    fn(frame)
-                            finally:
-                                interp._mask = base
-                        if not remaining.any():
-                            return
-                    else:
-                        if not cond:
-                            continue
-                        interp._mask = (
-                            remaining if remaining is not None else base
-                        )
-                        try:
-                            for fn in body_fns:
-                                fn(frame)
-                        finally:
-                            interp._mask = base
-                        return
-            finally:
-                interp._mask = base
-
-        return run
-
-    def _build_flow_stmt(self, node: Stmt, account: Callable) -> Callable:
-        interp = self.interp
-        base_run = NodeCompiler._build_flow_stmt(self, node, account)
-        kind = type(node).__name__.replace("Stmt", "").lower()
-        loc = node.location
-
-        def run(frame):
-            if interp._mask is not None:
-                raise VectorizationError(
-                    f"'{kind}' under diverged member control flow at {loc}"
-                )
-            base_run(frame)
-
-        return run
-
-    def _build_do(self, node: DoLoop) -> Callable:
-        interp = self.interp
-        account = self._account_fn(node)
-        start_fn = self.expr(node.start)
-        stop_fn = self.expr(node.stop)
-        step_fn = None if node.step is None else self.expr(node.step)
-        body_fns = self.body(node.body)
-        var = node.var
-        loc = node.location
-
-        def uniform(value):
-            # int() on a promoted batch scalar yields a batch even when
-            # every member agrees: collapse value-uniform bounds, refuse
-            # genuinely member-varying ones
-            if not isinstance(value, np.ndarray):
-                return value
-            base = np.asarray(value)
-            first = base.flat[0]
-            if base.ndim != 1 or not bool(np.all(base == first)):
-                raise VectorizationError(
-                    f"member-varying do-loop bounds at {loc}"
-                )
-            return first.item()
-
-        def run(frame):
-            account()
-            start = uniform(start_fn(frame))
-            stop = uniform(stop_fn(frame))
-            step = uniform(step_fn(frame)) if step_fn is not None else 1
-            if step == 0:
-                raise FortranRuntimeError(f"zero do-loop step at {loc}")
-            found = interp._lookup_var(frame, var)
-            scope = found[0] if found is not None else frame.scope
-            var_name = found[1] if found is not None else var
-            count = int(np.trunc((stop - start + step) / step))
-            if count < 0:
-                count = 0
-            value = start
-            completed = True
-            store = scope.store
-            for _ in range(count):
-                store(var_name, value)
-                try:
-                    for fn in body_fns:
-                        fn(frame)
-                except _Cycle:
-                    pass
-                except _Exit:
-                    completed = False
-                    break
-                value = value + step
-            if completed:
-                store(var_name, start + count * step)
-
-        return run
-
-    def _build_do_while(self, node: DoWhile) -> Callable:
-        account = self._account_fn(node)
-        cond_fn = self.expr(node.condition)
-        body_fns = self.body(node.body)
-        loc = node.location
-
-        def run(frame):
-            account()
-            while True:
-                cond = cond_fn(frame)
-                if isinstance(cond, np.ndarray):
-                    raise VectorizationError(
-                        f"member-varying do-while condition at {loc}"
-                    )
-                if not cond:
-                    break
-                try:
-                    for fn in body_fns:
-                        fn(frame)
-                except _Cycle:
-                    continue
-                except _Exit:
-                    break
-                account()  # charge each condition re-evaluation
-
-        return run
-
-    def _build_select(self, node: SelectCase) -> Callable:
-        account = self._account_fn(node)
-        selector_fn = self.expr(node.selector)
-        loc = node.location
-        compiled_cases: list[tuple[Optional[list], list[Callable]]] = []
-        for items, body in node.cases:
-            if items is None:
-                compiled_cases.append((None, self.body(body)))
-                continue
-            matchers = [self._build_case_item(item) for item in items]
-            compiled_cases.append((matchers, self.body(body)))
-
-        def run(frame):
-            account()
-            selector = selector_fn(frame)
-            if isinstance(selector, np.ndarray):
-                raise VectorizationError(
-                    f"member-varying select-case selector at {loc}"
-                )
-            default_fns = None
-            for matchers, body_fns in compiled_cases:
-                if matchers is None:
-                    default_fns = body_fns
-                    continue
-                for matches in matchers:
-                    if matches(selector, frame):
-                        for fn in body_fns:
-                            fn(frame)
-                        return
-            if default_fns is not None:
-                for fn in default_fns:
-                    fn(frame)
-
-        return run
-
-    def _build_where(self, node: WhereBlock) -> Callable:
-        interp = self.interp
-        account = self._account_fn(node)
-        mask_fn = self.expr(node.mask)
-
-        def compile_masked(body):
-            items = []
-            for stmt in body:
-                from ..fortran.ast_nodes import Assignment
-
-                if not isinstance(stmt, Assignment):
-                    raise FortranRuntimeError(
-                        "only assignments are supported inside where blocks "
-                        f"(at {stmt.location})"
-                    )
-                items.append(
-                    (self._account_fn(stmt), self.expr(stmt.value), stmt)
-                )
-            return items
-
-        body_items = compile_masked(node.body)
-        else_items = compile_masked(node.else_body) if node.else_body else None
-
-        def exec_masked(items, mask_val, frame):
-            member = interp._mask
-            for stmt_account, value_fn, stmt in items:
-                stmt_account()
-                value = value_fn(frame)
-                ref = interp._resolve_target(stmt.target, frame)
-                target = ref.load()
-                if not isinstance(target, np.ndarray):
-                    raise FortranRuntimeError(
-                        f"where-assignment target is not an array at "
-                        f"{stmt.location}"
-                    )
-                if interp._ref_readonly(ref):
-                    raise IntentViolationError(
-                        f"cannot assign through read-only target at "
-                        f"{stmt.location}"
-                    )
-                if isinstance(target, MemberBatch):
-                    tbase = np.asarray(target)
-                    tmodel = tbase.ndim - 1
-                    if isinstance(mask_val, MemberBatch):
-                        where = np.asarray(mask_val._lifted(tmodel), bool)
-                    else:
-                        where = np.asarray(mask_val, dtype=bool)
-                    if member is not None:
-                        where = where & _lift(member, tmodel)
-                    v = (
-                        value._lifted(tmodel)
-                        if isinstance(value, MemberBatch)
-                        else value
-                    )
-                    np.copyto(tbase, v, where=where, casting="unsafe")
-                    continue
-                if (
-                    isinstance(mask_val, MemberBatch)
-                    or isinstance(value, MemberBatch)
-                    or member is not None
-                ):
-                    raise VectorizationError(
-                        "member-varying where-assignment into member-"
-                        f"uniform storage at {stmt.location}"
-                    )
-                np.copyto(
-                    target,
-                    value,
-                    where=np.asarray(mask_val, dtype=bool),
-                    casting="unsafe",
-                )
-
-        def run(frame):
-            account()
-            mask_val = mask_fn(frame)
-            exec_masked(body_items, mask_val, frame)
-            if else_items:
-                inverted = (
-                    np.logical_not(mask_val)
-                    if isinstance(mask_val, np.ndarray)
-                    else not mask_val
-                )
-                exec_masked(else_items, inverted, frame)
-
-        return run
-
-    # ------------------------------------------------------------ stores
-    def _build_store_var(self, name: str) -> Callable:
-        interp = self.interp
-        base_store = NodeCompiler._build_store_var(self, name)
-        cell: list[tuple] = []
-
-        def store(frame, value):
-            mask = interp._mask
-            current_scope = frame.scope
-            rname = name
-            if name not in current_scope.values:
-                if cell:
-                    current_scope, rname = cell[0]
-                else:
-                    found = interp._lookup_nonlocal(frame, name)
-                    if found is not None:
-                        current_scope, rname = found
-                        cell.append(found)
-            current = current_scope.values.get(rname, _MISSING)
-            if (
-                mask is None
-                and not isinstance(value, MemberBatch)
-                and not isinstance(current, MemberBatch)
-            ):
-                base_store(frame, value)
-                return
-            if current is _MISSING:
-                current_scope = frame.scope
-                rname = name
-                current_scope.define(name, 0)
-                current = 0
-            interp._store_slot(current_scope, rname, current, value, mask)
-
-        return store
-
-    def _build_store_element(self, target: Apply) -> Callable:
-        interp = self.interp
-        name = target.name
-        index_fn = self._build_index(target.args)
-        cell: list[tuple] = []
-
-        def store(frame, value):
-            scope = frame.scope
-            rname = name
-            container = scope.values.get(name, _MISSING)
-            if container is _MISSING:
-                if cell:
-                    scope, rname = cell[0]
-                    container = scope.values.get(rname, _MISSING)
-                if container is _MISSING:
-                    found = interp._lookup_nonlocal(frame, name)
-                    if found is None:
-                        raise UndefinedNameError(
-                            f"assignment to unknown array {name!r}"
-                        )
-                    scope, rname = found
-                    if not cell:
-                        cell.append(found)
-                    container = scope.values[rname]
-            if not isinstance(container, np.ndarray):
-                raise FortranRuntimeError(
-                    f"subscripted assignment to non-array {rname!r}"
-                )
-            index = index_fn(frame)
-            if rname in scope.readonly:
-                raise IntentViolationError(
-                    f"cannot assign through read-only name {rname!r}"
-                )
-            interp._store_into_array(
-                container, index, value, interp._mask, rname
-            )
-
-        return store
-
-    def _build_store_component(self, target: DerivedRef) -> Callable:
-        interp = self.interp
-        root = target
-        while isinstance(root, DerivedRef):
-            root = root.base
-        root_name = root.name if isinstance(root, (VarRef, Apply)) else ""
-        base_fn = self.expr(target.base)
-        component = target.component
-        index_fn = self._build_index(target.args) if target.args else None
-
-        def store(frame, value):
-            guard = None
-            if root_name:
-                found = interp._lookup_var(frame, root_name)
-                if found is not None:
-                    guard = found[0].readonly
-            base = base_fn(frame)
-            if not isinstance(base, DerivedValue):
-                raise FortranRuntimeError(
-                    f"component reference into non-derived value "
-                    f"{component!r}"
-                )
-            mask = interp._mask
-            if index_fn is not None:
-                array = base.get(component)
-                if not isinstance(array, np.ndarray):
-                    raise FortranRuntimeError(
-                        f"subscripted non-array component {component!r}"
-                    )
-                index = index_fn(frame)
-                if guard is not None and root_name in guard:
-                    raise IntentViolationError(
-                        f"cannot assign through read-only name {root_name!r}"
-                    )
-                interp._store_into_array(array, index, value, mask, component)
-                return
-            if guard is not None and root_name in guard:
-                raise IntentViolationError(
-                    f"cannot assign through read-only name {root_name!r}"
-                )
-            current = base.get(component)
-            if isinstance(current, np.ndarray):
-                interp._store_into_array(current, None, value, mask, component)
-                return
-            if isinstance(value, MemberBatch) or mask is not None:
-                raise VectorizationError(
-                    f"member-varying store into scalar component "
-                    f"{component!r}"
-                )
-            base.set(component, value)
-
-        return store
+__all__ = ["VecInterpreter", "run_model_batch"]
 
 
 # --------------------------------------------------------------------------- #
@@ -778,11 +79,9 @@ class VecInterpreter(Interpreter):
     :class:`~repro.kgen.registry.KernelRegistry`; call sites whose
     resolved elemental function has a verified kernel execute the fused
     numpy body instead of interpreting (see
-    :meth:`VecNodeCompiler._specialize_apply`), counted in
-    ``kernel_calls``/``kernel_fallbacks``.
+    :meth:`~repro.runtime.compiler.VecCompiler._build_kernel_call`),
+    counted in ``kernel_calls``/``kernel_fallbacks``.
     """
-
-    _compiler_factory = VecNodeCompiler
 
     def __init__(
         self,
@@ -791,14 +90,8 @@ class VecInterpreter(Interpreter):
         fp=None,
         collect_coverage: bool = True,
         max_statements: int = 50_000_000,
-        compile: bool = True,
         kernels=None,
     ):
-        if not compile:
-            raise ValueError(
-                "the vectorized runtime requires the compiled path "
-                "(compile=True)"
-            )
         seed_list = [int(s) for s in np.asarray(seeds).reshape(-1).tolist()]
         if not seed_list:
             raise ValueError("at least one member seed is required")
@@ -817,15 +110,39 @@ class VecInterpreter(Interpreter):
         from ..kgen.extract import KernelAccounting
 
         self._kernel_acct = KernelAccounting(self)
+        #: per-AST-node memoized closures; every statement and expression
+        #: runs through them (the scalar engine's generated code is never
+        #: built, hence ``compile=False`` below)
+        self._compiler = VecCompiler(self)
         super().__init__(
             asts,
             fp=fp,
             seed=seed_list[0],
             collect_coverage=collect_coverage,
             max_statements=max_statements,
-            compile=True,
+            compile=False,
         )
         self.prng = BatchedPRNGStreams(seed_list)
+
+    # ---------------------------------------------------------- execution
+    def exec_body(self, body, frame) -> None:
+        compiler = self._compiler
+        cached = compiler.body_cache.get(id(body))
+        fns = cached[1] if cached is not None else compiler.body(body)
+        for fn in fns:
+            fn(frame)
+
+    def exec_stmt(self, stmt, frame) -> None:
+        compiler = self._compiler
+        cached = compiler.stmt_cache.get(id(stmt))
+        fn = cached[1] if cached is not None else compiler.stmt(stmt)
+        fn(frame)
+
+    def eval(self, expr, frame):
+        compiler = self._compiler
+        cached = compiler.expr_cache.get(id(expr))
+        fn = cached[1] if cached is not None else compiler.expr(expr)
+        return fn(frame)
 
     # ------------------------------------------------------- declarations
     def _create_value(self, frame, decl, entity):

@@ -4,13 +4,15 @@ Three layers of conformance:
 
 * the batched PRNG reproduces each member's scalar stream exactly;
 * ``run_model_batch`` over the real model — control, every registered
-  bug patch, and the FMA floating-point mode — matches per-member
-  ``run_model`` on outputs, first-write snapshots, coverage counts,
-  statement accounting and draw counts;
+  bug patch, and the FMA floating-point mode, with kernel fusion on and
+  off — matches per-member ``run_model`` on outputs, first-write
+  snapshots, coverage counts, statement accounting and draw counts;
 * masked-divergence semantics over synthetic sources: ``if`` blocks whose
   conditions vary per member blend stores correctly (including scalar-slot
-  promotion and nested divergence), and the safety rails refuse the
-  constructs that cannot be expressed under a partial member mask.
+  promotion and nested divergence); ``select case``, ``do while``,
+  ``where`` and derived-type component stores match the scalar engine per
+  member; and the safety rails refuse the constructs that cannot be
+  expressed under a partial member mask.
 """
 
 import numpy as np
@@ -100,15 +102,24 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_batch_matches_scalar_bit_for_bit(case):
+@pytest.mark.parametrize(
+    "case,kernels",
+    [pytest.param(case, "auto", id=case) for case in sorted(CASES)]
+    + [
+        pytest.param(case, None, id=f"{case}-unfused")
+        for case in sorted(CASES)
+    ],
+)
+def test_batch_matches_scalar_bit_for_bit(case, kernels):
+    # kernels=None sends the elemental functions kgen fuses on the control
+    # build through the closure compiler too
     model, fp = CASES[case]
     source = build_model_source(model)
     configs = [
         RunConfig(model=model, nsteps=1, pertlim=1e-14, seed=s, fp=fp)
         for s in SEEDS
     ]
-    batch = run_model_batch(configs, source=source)
+    batch = run_model_batch(configs, source=source, kernels=kernels)
     for config, batched in zip(configs, batch):
         _assert_member_matches(run_model(config, source=source), batched)
 
@@ -270,15 +281,209 @@ class TestSafetyRails:
         # representation only when values differ; equal values still batch
         np.testing.assert_array_equal(np.asarray(got), [3.0, 3.0])
 
-    def test_requires_compiled_path(self):
-        with pytest.raises(ValueError, match="compile"):
-            VecInterpreter.from_source(
-                DIVERGE_SRC, seeds=[1, 2], compile=False
-            )
-
     def test_requires_at_least_one_seed(self):
         with pytest.raises(ValueError, match="seed"):
             VecInterpreter.from_source(DIVERGE_SRC, seeds=[])
+
+
+# --------------------------------------------------------------------------- #
+# select case, do while, where and derived-type component stores
+# --------------------------------------------------------------------------- #
+CONSTRUCTS_SRC = """
+module c
+  implicit none
+  type rec
+    real :: x
+    real :: v(3)
+    integer :: k
+  end type rec
+  type(rec) :: saved
+contains
+  function pick(k, x) result(r)
+    integer, intent(in) :: k
+    real, intent(in) :: x
+    real :: r
+    select case (k)
+    case (:0)
+      r = -1.0
+    case (1:2, 7)
+      r = 10.0 + x
+    case (4)
+      r = 40.0 + x
+    case (10:)
+      r = 100.0 + x
+    case default
+      r = 99.0 * x
+    end select
+  end function pick
+
+  function climb(x, start) result(r)
+    real, intent(in) :: x, start
+    real :: r, y, acc
+    integer :: n
+    y = start
+    acc = 0.0
+    n = 0
+    do while (y < 5.0)
+      n = n + 1
+      acc = acc + x
+      if (n == 2) then
+        cycle
+      end if
+      y = y + 1.0
+      if (n >= 4) then
+        exit
+      end if
+    end do
+    r = acc + y + n
+  end function climb
+
+  function masked(x) result(total)
+    real, intent(in) :: x
+    real :: a(4), total
+    integer :: i
+    do i = 1, 4
+      a(i) = x * i
+    end do
+    where (a > 3.0)
+      a = a * 10.0
+    elsewhere
+      a = -a
+    end where
+    if (x > 1.0) then
+      where (a > 50.0)
+        a = 0.0
+      end where
+    end if
+    total = sum(a)
+  end function masked
+
+  function masked_int(x) result(total)
+    real, intent(in) :: x
+    integer :: b(4)
+    real :: total
+    integer :: i
+    do i = 1, 4
+      b(i) = i
+    end do
+    where (b > 2)
+      b = 0
+    elsewhere
+      b = b * 2
+    end where
+    total = sum(b) + x
+  end function masked_int
+
+  function masked_int_rail(x) result(total)
+    real, intent(in) :: x
+    integer :: b(4)
+    real :: total
+    integer :: i
+    do i = 1, 4
+      b(i) = i
+    end do
+    where (b > x)
+      b = 0
+    end where
+    total = sum(b)
+  end function masked_int_rail
+
+  function fill_rec(x) result(total)
+    real, intent(in) :: x
+    type(rec) :: p
+    real :: total
+    integer :: i
+    p%k = 2
+    p%x = 0.5
+    do i = 1, 3
+      p%v(i) = x * i
+    end do
+    if (x > 1.0) then
+      p%v(2) = -x
+      p%v = p%v + 1.0
+    end if
+    total = sum(p%v) + p%k + p%x
+  end function fill_rec
+
+  function scalar_comp_rail(x) result(y)
+    real, intent(in) :: x
+    real :: y
+    saved%x = x
+    y = saved%x
+  end function scalar_comp_rail
+end module c
+"""
+
+
+def _member_args(args, m):
+    """Member ``m``'s scalar actuals (a list argument varies per member)."""
+    return [a[m] if isinstance(a, list) else a for a in args]
+
+
+def _batch_args(args):
+    return [
+        np.asarray(a, dtype=np.int64 if isinstance(a[0], int) else np.float64)
+        .view(MemberBatch)
+        if isinstance(a, list)
+        else a
+        for a in args
+    ]
+
+
+#: (function, actuals); a list actual is one value per member, so ``[2, 2]``
+#: is a member-uniform batch and ``[0.5, 2.0]`` a member-varying one
+CONSTRUCT_CASES = {
+    "select-plain-range": ("pick", [0, [0.5, 1.5]]),
+    "select-plain-value": ("pick", [7, [0.5, 1.5]]),
+    "select-plain-single": ("pick", [4, [0.5, 1.5]]),
+    "select-plain-open": ("pick", [12, [0.5, 1.5]]),
+    "select-plain-default": ("pick", [5, [0.5, 1.5]]),
+    "select-uniform-range": ("pick", [[2, 2], [0.5, 1.5]]),
+    "select-uniform-default": ("pick", [[5, 5], [0.5, 1.5]]),
+    "dowhile-plain": ("climb", [[0.5, 1.5], 1.0]),
+    "dowhile-uniform": ("climb", [[0.5, 1.5], [1.0, 1.0]]),
+    "dowhile-uniform-zero-trip": ("climb", [[0.5, 1.5], [6.0, 6.0]]),
+    "where-uniform": ("masked", [[1.5, 1.5]]),
+    "where-varying": ("masked", [[0.5, 2.0]]),
+    "where-int-uniform": ("masked_int", [[1.0, 1.0]]),
+    "where-int-varying": ("masked_int", [[0.5, 2.0]]),
+    "component-uniform": ("fill_rec", [[2.0, 2.0]]),
+    "component-varying": ("fill_rec", [[0.5, 2.0]]),
+}
+
+
+class TestConstructs:
+    """Each construct runs batched and matches the scalar engine per member."""
+
+    @pytest.mark.parametrize("case", sorted(CONSTRUCT_CASES))
+    def test_matches_scalar_per_member(self, case):
+        from repro.runtime.interpreter import Interpreter
+
+        function, args = CONSTRUCT_CASES[case]
+        interp = _vec(CONSTRUCTS_SRC, seeds=(1, 2))
+        got = np.broadcast_to(
+            np.asarray(interp.call("c", function, _batch_args(args))), (2,)
+        )
+        for m in range(2):
+            scalar = Interpreter.from_source(CONSTRUCTS_SRC)
+            assert got[m] == scalar.call("c", function, _member_args(args, m))
+            assert interp.member_statements(m) == scalar.statements_executed
+            assert interp.member_coverage(m).counts == scalar.coverage.counts
+
+    @pytest.mark.parametrize(
+        "function,args,match",
+        [
+            ("pick", [[2, 4], [0.5, 1.5]], "select-case selector"),
+            ("climb", [[0.5, 1.5], [1.0, 3.0]], "do-while condition"),
+            ("masked_int_rail", [[0.5, 2.0]], "member-uniform storage"),
+            ("scalar_comp_rail", [[0.5, 2.0]], "scalar component"),
+        ],
+        ids=["select", "dowhile", "where-int", "scalar-component"],
+    )
+    def test_member_varying_rails(self, function, args, match):
+        interp = _vec(CONSTRUCTS_SRC, seeds=(1, 2))
+        with pytest.raises(VectorizationError, match=match):
+            interp.call("c", function, _batch_args(args))
 
 
 # --------------------------------------------------------------------------- #
